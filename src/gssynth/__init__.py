@@ -7,7 +7,7 @@ is decoded into an operation sequence and replayed against the plain graph
 semantics before being reported.
 """
 
-from .cnf import Assignment, Clause, CnfFormula, Literal, SolveStatus, parse_model, read_dimacs, write_dimacs
+from .cnf import Assignment, Clause, CnfFormula, Literal, SolveStatus, parse_model, write_dimacs
 from .driver import (
     EncodingSoundnessError,
     Limits,
@@ -44,8 +44,6 @@ from .graphs import (
     apply_operation,
     delete_vertex_edges,
     flip_edge,
-    graph_from_text,
-    graph_to_text,
     isolated_vertices,
     local_complement,
     neighborhood,

@@ -53,9 +53,6 @@ class CnfFormula:
         for clause in clause_list:
             self.add_clause(clause)
 
-    def num_clauses(self) -> int:
-        return len(self.clauses)
-
 
 def write_dimacs(formula: CnfFormula) -> str:
     """Serialize to DIMACS CNF.  Deterministic: same formula, same bytes."""
@@ -63,41 +60,6 @@ def write_dimacs(formula: CnfFormula) -> str:
     for clause in formula.clauses:
         lines.append(" ".join(str(lit) for lit in clause) + " 0")
     return "\n".join(lines) + "\n"
-
-
-def read_dimacs(text: str) -> CnfFormula:
-    """Parse DIMACS CNF (comments allowed); inverse of write_dimacs."""
-    num_vars: Optional[int] = None
-    declared_clauses = 0
-    tokens: List[int] = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("c"):
-            continue
-        if line.startswith("p"):
-            parts = line.split()
-            if len(parts) != 4 or parts[1] != "cnf":
-                raise ValueError(f"bad problem line {line!r}")
-            num_vars, declared_clauses = int(parts[2]), int(parts[3])
-            continue
-        tokens.extend(int(tok) for tok in line.split())
-    if num_vars is None:
-        raise ValueError("missing problem line")
-    formula = CnfFormula(num_vars)
-    clause: Clause = []
-    for tok in tokens:
-        if tok == 0:
-            formula.add_clause(clause)
-            clause = []
-        else:
-            clause.append(tok)
-    if clause:
-        raise ValueError("trailing clause without terminating 0")
-    if len(formula.clauses) != declared_clauses:
-        raise ValueError(
-            f"declared {declared_clauses} clauses, found {len(formula.clauses)}"
-        )
-    return formula
 
 
 _ANSI_ESCAPE = re.compile(r"\x1b\[[0-9;]*[A-Za-z]")

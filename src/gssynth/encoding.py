@@ -60,6 +60,8 @@ class SynthesisInstance:
     designated: Tuple[Edge, ...] = ()
 
     def __post_init__(self) -> None:
+        if self.source.n < 1:
+            raise ValueError("need at least one vertex")
         if self.source.n != self.target.n:
             raise ValueError("source and target must have the same vertex count")
         norm = tuple(normalize_edge(u, v) for u, v in self.designated)
@@ -301,21 +303,11 @@ def encode_transition(
 def encode_bmc(inst: SynthesisInstance, num_states: int) -> Tuple[CnfFormula, StepLayout]:
     """Reachability formula: SAT iff target reachable in <= num_states - 1 ops.
 
-    With a single state the formula is just the union of the source and target
-    unit constraints on that state (duplicates merged), which is satisfiable
-    exactly when source equals target.
+    With a single state there are no transitions and both unit sets pin state
+    0, so the formula is satisfiable exactly when source equals target.
     """
     layout = StepLayout(inst.n, num_states, len(inst.designated))
     formula = CnfFormula(layout.total_vars)
-    if num_states == 1:
-        seen = set()
-        for clause in encode_graph_constraint(
-            inst.source, 0, layout
-        ) + encode_graph_constraint(inst.target, 0, layout):
-            if clause[0] not in seen:
-                seen.add(clause[0])
-                formula.add_clause(clause)
-        return formula, layout
     formula.add_clauses(encode_graph_constraint(inst.source, 0, layout))
     for t in range(layout.num_transitions):
         formula.add_clauses(encode_transition(inst, t, layout))
@@ -359,26 +351,3 @@ def layout_to_text(layout: StepLayout) -> str:
         f"total_vars {layout.total_vars}",
     ]
     return "\n".join(lines) + "\n"
-
-
-def layout_from_text(text: str) -> StepLayout:
-    fields = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, _, value = line.partition(" ")
-        fields[key] = int(value)
-    try:
-        layout = StepLayout(fields["n"], fields["num_states"], fields["num_designated"])
-    except KeyError as exc:
-        raise ValueError(f"layout text missing field {exc.args[0]!r}") from exc
-    for key, expect in (
-        ("sel_bits", layout.sel_bits),
-        ("pairs_per_state", layout.pairs_per_state),
-        ("selector_block", layout.selector_block),
-        ("total_vars", layout.total_vars),
-    ):
-        if key in fields and fields[key] != expect:
-            raise ValueError(f"layout field {key} is {fields[key]}, expected {expect}")
-    return layout

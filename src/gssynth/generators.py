@@ -171,6 +171,8 @@ def random_D(n: int, size: int, seed: int) -> Tuple[Edge, ...]:
     Only rng.randrange is consumed, so the draw sequence is pinned exactly.
     """
     pool = pairs(n)
+    if size < 0:
+        raise ValueError(f"cannot pick {size} pairs")
     if size > len(pool):
         raise ValueError(f"cannot pick {size} distinct pairs from {len(pool)}")
     rng = random.Random(seed)

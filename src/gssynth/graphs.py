@@ -151,14 +151,6 @@ def apply_operation(g: Graph, op: Operation, designated: Sequence[Edge] = ()) ->
     return g
 
 
-def apply_sequence(
-    g: Graph, ops: Iterable[Operation], designated: Sequence[Edge] = ()
-) -> Graph:
-    for op in ops:
-        g = apply_operation(g, op, designated)
-    return g
-
-
 def isolated_vertices(g: Graph) -> frozenset[int]:
     """Vertices with no incident edge."""
     return frozenset(k for k in range(g.n) if not neighborhood(g, k))
@@ -176,39 +168,3 @@ def all_graphs(n: int) -> Iterator[Graph]:
     """Every simple graph on n vertices (2**(n*(n-1)/2) of them)."""
     for bits in range(1 << pair_count(n)):
         yield Graph(n, bits)
-
-
-# --- text format -------------------------------------------------------------
-#
-# First line "n <count>", then one "u v" line per edge.  Edges are written in
-# lexicographic order so serialization is deterministic.
-
-
-def graph_to_text(g: Graph) -> str:
-    lines = [f"n {g.n}"]
-    lines.extend(f"{u} {v}" for u, v in g.edges())
-    return "\n".join(lines) + "\n"
-
-
-def graph_from_text(text: str) -> Graph:
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
-    if not lines or not lines[0].startswith("n "):
-        raise ValueError("graph text must start with a line 'n <count>'")
-    try:
-        n = int(lines[0].split()[1])
-    except (IndexError, ValueError) as exc:
-        raise ValueError(f"bad vertex count line {lines[0]!r}") from exc
-    edges = []
-    for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise ValueError(f"bad edge line {ln!r}")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError as exc:
-            raise ValueError(f"bad edge line {ln!r}") from exc
-        if not 0 <= min(u, v) or max(u, v) >= n or u == v:
-            raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
-        edges.append((u, v))
-    return Graph.from_edges(n, edges)

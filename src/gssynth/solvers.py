@@ -142,14 +142,10 @@ class InProcessSolver:
 
     name = "builtin"
 
-    def __init__(self, restart_base: int = 128, activity_decay: float = 0.95) -> None:
-        self.restart_base = restart_base
-        self.activity_decay = activity_decay
-
     def solve(self, formula: CnfFormula, timeout: Optional[float] = None) -> SolveResult:
         start = time.monotonic()
         deadline = start + timeout if timeout is not None else None
-        search = _Search(formula, self.restart_base, self.activity_decay)
+        search = _Search(formula)
         status, model = search.run(deadline)
         return SolveResult(
             status,
@@ -157,6 +153,10 @@ class InProcessSolver:
             time.monotonic() - start,
             detail="timeout" if status is SolveStatus.UNKNOWN else "",
         )
+
+
+RESTART_BASE = 128  # conflicts per unit of the Luby restart sequence
+ACTIVITY_DECAY = 0.95  # older bumps weigh this much less after each conflict
 
 
 def _luby(i: int) -> int:
@@ -174,10 +174,8 @@ def _luby(i: int) -> int:
 
 
 class _Search:
-    def __init__(self, formula: CnfFormula, restart_base: int, decay: float) -> None:
+    def __init__(self, formula: CnfFormula) -> None:
         self.nv = formula.num_vars
-        self.restart_base = restart_base
-        self.decay = decay
         self.assign = [0] * (self.nv + 1)  # 0 free, 1 true, -1 false
         self.level = [0] * (self.nv + 1)
         self.reason: List[Optional[List[int]]] = [None] * (self.nv + 1)
@@ -342,7 +340,7 @@ class _Search:
             return SolveStatus.UNSAT, None
         conflicts = 0
         restart_count = 1
-        restart_limit = self.restart_base * _luby(restart_count)
+        restart_limit = RESTART_BASE * _luby(restart_count)
         conflicts_since_restart = 0
         while True:
             conflict = self._propagate()
@@ -356,13 +354,13 @@ class _Search:
                 if len(learned) > 1:
                     self._attach(learned)
                 self._enqueue(learned[0], learned if len(learned) > 1 else None)
-                self.act_inc /= self.decay
+                self.act_inc /= ACTIVITY_DECAY
                 if conflicts % 256 == 0 and deadline is not None:
                     if time.monotonic() > deadline:
                         return SolveStatus.UNKNOWN, None
                 if conflicts_since_restart >= restart_limit:
                     restart_count += 1
-                    restart_limit = self.restart_base * _luby(restart_count)
+                    restart_limit = RESTART_BASE * _luby(restart_count)
                     conflicts_since_restart = 0
                     self._cancel_until(0)
                 continue

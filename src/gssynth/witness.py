@@ -122,9 +122,9 @@ def replay_verify(inst: SynthesisInstance, witness: Witness) -> ReplayReport:
 # written out, not its index, so the file stands alone).
 
 
-def witness_to_text(witness: Witness, designated: Sequence[Edge] = ()) -> str:
+def witness_to_text(operations: Sequence[Operation], designated: Sequence[Edge] = ()) -> str:
     lines: List[str] = []
-    for op in witness.operations:
+    for op in operations:
         if op.kind == EF:
             u, v = designated[op.arg]
             lines.append(f"EF {u} {v}")

@@ -8,8 +8,8 @@ import sys
 import pytest
 
 from gssynth.cli import main
-from gssynth.cnf import read_dimacs
-from gssynth.encoding import SynthesisInstance, layout_from_text
+from gssynth.cnf import write_dimacs
+from gssynth.encoding import SynthesisInstance, encode_bmc, layout_to_text
 from gssynth.generators import read_instance, secret_sharing_demo, write_instance
 from gssynth.graphs import Graph, pair_count, star_graph
 
@@ -82,25 +82,27 @@ def test_gen_to_stdout(capsys):
 
 
 def test_encode_single_state_header(tmp_path, capsys):
-    # source == target on four vertices: one state, six merged unit clauses
-    path = write_inst(tmp_path, "eq.inst", SynthesisInstance(STAR4, STAR4))
+    # source == target on four vertices: one state, six source and six target units
+    inst = SynthesisInstance(STAR4, STAR4)
+    path = write_inst(tmp_path, "eq.inst", inst)
     prefix = str(tmp_path / "eq")
     assert main(["encode", path, "--states", "1", "--out-prefix", prefix]) == 0
     cnf_text = (tmp_path / "eq.cnf").read_text()
-    assert cnf_text.startswith("p cnf 6 6\n")
-    formula = read_dimacs(cnf_text)
-    assert formula.num_clauses() == 6
-    layout = layout_from_text((tmp_path / "eq.layout").read_text())
-    assert layout.n == 4 and layout.num_states == 1
+    assert cnf_text.startswith("p cnf 6 12\n")
+    formula, layout = encode_bmc(inst, 1)
+    assert cnf_text == write_dimacs(formula)
+    assert (tmp_path / "eq.layout").read_text() == layout_to_text(layout)
     assert "eq.cnf" in capsys.readouterr().out
 
 
 def test_encode_layout_matches_formula(tmp_path, capsys):
-    path = write_inst(tmp_path, "p.inst", SynthesisInstance(STAR4, K4))
+    inst = SynthesisInstance(STAR4, K4)
+    path = write_inst(tmp_path, "p.inst", inst)
     prefix = str(tmp_path / "p")
     assert main(["encode", path, "--states", "3", "--out-prefix", prefix]) == 0
-    formula = read_dimacs((tmp_path / "p.cnf").read_text())
-    layout = layout_from_text((tmp_path / "p.layout").read_text())
+    formula, layout = encode_bmc(inst, 3)
+    assert (tmp_path / "p.cnf").read_text() == write_dimacs(formula)
+    assert (tmp_path / "p.layout").read_text() == layout_to_text(layout)
     assert formula.num_vars == layout.total_vars
     capsys.readouterr()
 
@@ -161,6 +163,14 @@ def test_verify_rejects_a_wrong_witness(tmp_path, capsys):
     assert "witness invalid" in capsys.readouterr().out
 
 
+def test_verify_rejects_an_operation_that_does_not_apply(tmp_path, capsys):
+    path = write_inst(tmp_path, "t.inst", SynthesisInstance(Graph(3), Graph(3)))
+    bad = tmp_path / "bad.witness"
+    bad.write_text("VD 9\n")
+    assert main(["verify", path, str(bad)]) == 1
+    assert "witness invalid" in capsys.readouterr().out
+
+
 def test_synth_reports_bad_instance_files(tmp_path, capsys):
     missing = str(tmp_path / "nope.inst")
     assert main(["synth", missing]) == 64
@@ -170,6 +180,46 @@ def test_synth_reports_bad_instance_files(tmp_path, capsys):
     broken.write_text("what is this\n")
     assert main(["synth", str(broken)]) == 64
     assert "bad instance file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["synth", "ZERO"],
+        ["encode", "ZERO", "--states", "2", "--out-prefix", "PREFIX"],
+        ["oracle", "ZERO"],
+        ["verify", "ZERO", "EMPTY"],
+        ["synth", "STAR", "--max-ops", "-1"],
+        ["synth", "STAR", "--solver", "no-such-solver"],
+        ["synth", "STAR", "--solve-timeout", "-1"],
+        ["synth", "STAR", "--budget", "-1"],
+        ["oracle", "STAR", "--state-cap", "0"],
+        ["encode", "STAR", "--states", "2", "--out-prefix", "NODIR"],
+        ["gen", "--family", "er", "--parties", "a,b"],
+        ["gen", "--family", "er", "--n", "4", "--d-size", "-1"],
+        ["bench", "--family", "er", "--sizes", "1"],
+        ["bench", "--family", "er", "--sizes", "x"],
+        ["bench", "--family", "er", "--sizes", "4", "--p", "2"],
+        ["bench", "--family", "er", "--sizes", "4", "--d-size", "9"],
+        ["bench", "--family", "er", "--sizes", "4", "--max-ops", "-1"],
+        ["bench", "--family", "er", "--sizes", "4", "--solver", "no-such-solver"],
+    ],
+    ids="-".join,
+)
+def test_bad_values_exit_with_the_usage_code(tmp_path, capsys, argv):
+    zero = tmp_path / "zero.inst"
+    zero.write_text("n 0\nsource\ntarget\n")
+    empty = tmp_path / "empty.witness"
+    empty.write_text("")
+    paths = {
+        "ZERO": str(zero),
+        "EMPTY": str(empty),
+        "STAR": write_inst(tmp_path, "star.inst", SynthesisInstance(STAR4, K4)),
+        "PREFIX": str(tmp_path / "out"),
+        "NODIR": str(tmp_path / "no" / "dir"),
+    }
+    assert main([paths.get(arg, arg) for arg in argv]) == 64
+    assert capsys.readouterr().err.startswith("gssynth:")
 
 
 # --- oracle -----------------------------------------------------------------------------

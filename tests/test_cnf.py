@@ -12,7 +12,6 @@ from gssynth.cnf import (
     check_assignment,
     clause_satisfied,
     parse_model,
-    read_dimacs,
     write_dimacs,
 )
 
@@ -21,7 +20,6 @@ def test_add_clause_tracks_vars_and_clauses():
     f = CnfFormula(2)
     f.add_clause([1, -2])
     assert f.num_vars == 2
-    assert f.num_clauses() == 1
     assert f.clauses == [[1, -2]]
 
 
@@ -52,31 +50,6 @@ def test_write_dimacs_exact_bytes():
     g = CnfFormula(3)
     g.add_clause([-3])
     assert write_dimacs(g) == "p cnf 3 1\n-3 0\n"
-
-
-def test_read_dimacs_inverts_write():
-    f = CnfFormula(4)
-    f.add_clauses([[1, -2, 3], [-4], [2, 4]])
-    g = read_dimacs(write_dimacs(f))
-    assert g.num_vars == f.num_vars
-    assert g.clauses == f.clauses
-
-
-def test_read_dimacs_accepts_comments_and_multiline_clauses():
-    text = "c comment\np cnf 3 2\n1 -2\n0\nc another\n3 0\n"
-    f = read_dimacs(text)
-    assert f.clauses == [[1, -2], [3]]
-
-
-def test_read_dimacs_rejects_malformed_input():
-    with pytest.raises(ValueError):
-        read_dimacs("1 2 0\n")  # no problem line
-    with pytest.raises(ValueError):
-        read_dimacs("p cnf 2\n")
-    with pytest.raises(ValueError):
-        read_dimacs("p cnf 2 1\n1 2\n")  # missing terminator
-    with pytest.raises(ValueError):
-        read_dimacs("p cnf 2 2\n1 0\n")  # clause count mismatch
 
 
 # --- solver output parsing -------------------------------------------------------

@@ -15,11 +15,8 @@ from gssynth.graphs import (
     Operation,
     all_graphs,
     apply_operation,
-    apply_sequence,
     delete_vertex_edges,
     flip_edge,
-    graph_from_text,
-    graph_to_text,
     isolated_vertices,
     local_complement,
     neighborhood,
@@ -177,15 +174,6 @@ def test_operation_rejects_unknown_kind():
         Operation(LC, -1)
 
 
-def test_apply_sequence_reproduces_the_star_chain():
-    # star{01,02,03} --LC(0)--> K4 --VD(2)--> {01,03,13}
-    star = star_graph(4, 0, (1, 2, 3))
-    after_lc = apply_sequence(star, [Operation(LC, 0)])
-    assert after_lc == complete_graph(4)
-    final = apply_sequence(star, [Operation(LC, 0), Operation(VD, 2)])
-    assert final == Graph.from_edges(4, [(0, 1), (0, 3), (1, 3)])
-
-
 # --- isolated vertices / star builder -------------------------------------------
 
 
@@ -258,29 +246,3 @@ def test_isolation_is_monotone_under_random_lc_vd_sequences():
             kind = rng.choice((LC, VD))
             g = apply_operation(g, Operation(kind, rng.randrange(n)))
             assert stuck in isolated_vertices(g)
-
-
-# --- text format -------------------------------------------------------------------
-
-
-def test_graph_text_round_trip():
-    g = Graph.from_edges(5, [(0, 4), (2, 3), (0, 1)])
-    assert graph_from_text(graph_to_text(g)) == g
-    assert graph_to_text(Graph(3)) == "n 3\n"
-
-
-def test_graph_text_ignores_comments_and_blanks():
-    assert graph_from_text("# top\nn 3\n\n0 1\n# mid\n1 2\n") == Graph.from_edges(
-        3, [(0, 1), (1, 2)]
-    )
-
-
-def test_graph_text_rejects_bad_input():
-    with pytest.raises(ValueError):
-        graph_from_text("")
-    with pytest.raises(ValueError):
-        graph_from_text("n 3\n0 3\n")
-    with pytest.raises(ValueError):
-        graph_from_text("n 3\n0 1 2\n")
-    with pytest.raises(ValueError):
-        graph_from_text("0 1\nn 3\n")

@@ -8,7 +8,6 @@ from gssynth.encoding import SynthesisInstance
 from gssynth.graphs import (
     Graph,
     Operation,
-    apply_sequence,
     local_complement,
     pair_count,
     star_graph,
@@ -20,6 +19,7 @@ from gssynth.oracle import (
     reachable_set,
     step_operations,
 )
+from gssynth.witness import replay_verify, witness_from_operations
 
 
 def complete_graph(n: int) -> Graph:
@@ -70,7 +70,7 @@ def test_shortest_path_replays_to_the_target():
     result = reachable_bfs(inst)
     assert result.reachable
     assert result.shortest_length == 2
-    assert apply_sequence(source, result.shortest) == target
+    assert replay_verify(inst, witness_from_operations(inst, result.shortest)).ok
 
 
 def test_five_cycle_cannot_reach_the_full_star():
