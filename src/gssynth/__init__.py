@@ -51,6 +51,6 @@ from .graphs import (
 )
 from .oracle import ReachabilityResult, StateCapExceeded, lc_orbit, reachable_bfs, reachable_set
 from .solvers import ExternalSolver, InProcessSolver, SolveResult, SolverBackend, resolve_backend
-from .witness import Witness, decode, replay_verify, strip_identities, witness_to_text
+from .witness import Witness, decode, replay_verify, witness_to_text
 
 __version__ = "0.1.0"

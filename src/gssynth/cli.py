@@ -137,6 +137,8 @@ def _build_instance(
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
+    if args.family == "demo" and (args.d_size or args.parties):
+        raise SystemExit("gssynth: the demo family takes no --d-size or --parties")
     parties = _parse_list(args.parties, "--parties", int) if args.parties else None
     try:
         inst, meta = _build_instance(
@@ -255,6 +257,9 @@ def _bench_one(task: Tuple) -> List[str]:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    for option, value in (("--seeds", args.seeds), ("--jobs", args.jobs)):
+        if value < 1:
+            raise SystemExit(f"gssynth: {option} must be at least 1")
     sizes = (
         _parse_list(args.sizes, "--sizes", int)
         if args.family == "er"

@@ -28,7 +28,7 @@ from .cnf import SolveStatus
 from .encoding import SynthesisInstance, encode_bmc
 from .graphs import isolated_vertices
 from .solvers import SolverBackend
-from .witness import Witness, decode, replay_verify, strip_identities
+from .witness import Witness, decode, replay_verify
 
 
 class Verdict(enum.Enum):
@@ -224,7 +224,7 @@ def synthesize(
     if best is None:
         return SynthesisOutcome(Verdict.UNKNOWN, None, threshold, probes, truncated)
     num_states, assignment, layout = best
-    witness = strip_identities(decode(assignment, layout))
+    witness = decode(assignment, layout)
     report = replay_verify(inst, witness)
     if not report.ok:
         raise EncodingSoundnessError(report.message)

@@ -12,13 +12,16 @@ variables are 1-based):
 Kinds: z=0 local complementation, z=1 vertex deletion, z=2 edge flip of the
 y-th designated pair, z=3 identity.
 
-Each operation relation is a clause set over the edge variables of two
-consecutive states.  A transition is the conjunction of every relation widened
-by its selector guard: a clause c of the relation for argument k and kind val
-becomes neq(y, k) + neq(z, val) + c, so the relation only bites when the
-selectors pick it.  A domain constraint keeps the selectors meaningful:
-z in {0,1} forces y < n, z=2 forces y < |D| (or is forbidden outright when
-D is empty), z=3 forces y = 0.
+One relation builder, `encode_operation`, turns any operation into clauses
+over the edge variables of two consecutive states: each pair is cleared,
+toggled, toggled under a condition, or copied.  A transition conjoins the
+relation of every operation it offers (LC and VD at each vertex, EF at each
+designated pair, identity), widened by one guard rule: a clause c of the
+relation for argument k and kind val becomes neq(y, k) + neq(z, val) + c, so
+the relation only bites when the selectors pick it; identity is picked by its
+kind alone, so its guard drops the y part.  A domain constraint keeps the
+selectors meaningful: z in {0,1} forces y < n, z=2 forces y < |D| (or is
+forbidden outright when D is empty), z=3 forces y = 0.
 
 The full formula conjoins unit clauses pinning state 0 to the source graph,
 all transitions, and unit clauses pinning the last state to the target.  With
@@ -33,12 +36,12 @@ from dataclasses import dataclass
 from typing import List, NamedTuple, Sequence, Tuple
 
 from .cnf import Clause, CnfFormula
-from .graphs import Edge, Graph, normalize_edge, pair_count, pair_index, pairs
+from .graphs import (
+    EF, ID, LC, VD, Edge, Graph, Operation, normalize_edge, pair_count, pair_index, pairs
+)
 
-KIND_LC = 0
-KIND_VD = 1
-KIND_EF = 2
-KIND_ID = 3
+# value of the z register that selects each operation kind
+KIND_CODE = {LC: 0, VD: 1, EF: 2, ID: 3}
 
 
 def selector_bits(n: int, num_designated: int) -> int:
@@ -116,6 +119,13 @@ class StepLayout:
         u, v = normalize_edge(u, v)
         return 1 + step * self.pairs_per_state + pair_index(self.n, u, v)
 
+    def state_vars(self, step: int) -> List[int]:
+        """Edge variables of one state, in lexicographic pair order."""
+        if not 0 <= step < self.num_states:
+            raise ValueError(f"step {step} out of range")
+        first = 1 + step * self.pairs_per_state
+        return list(range(first, first + self.pairs_per_state))
+
     def _selector_base(self, transition: int) -> int:
         if not 0 <= transition < self.num_transitions:
             raise ValueError(f"transition {transition} out of range")
@@ -160,91 +170,46 @@ def encode_graph_constraint(g: Graph, step: int, layout: StepLayout) -> List[Cla
     """Unit clauses pinning one state to a concrete graph."""
     if g.n != layout.n:
         raise ValueError("graph size does not match layout")
-    units: List[Clause] = []
-    for u, v in pairs(g.n):
-        var = layout.edge_var(step, u, v)
-        units.append([var] if g.has_edge(u, v) else [-var])
-    return units
+    return [[var] if g.bits >> i & 1 else [-var] for i, var in enumerate(layout.state_vars(step))]
 
 
 # --- operation relations ------------------------------------------------------
-#
-# Each encode_* below relates the edge variables of states t and t+1,
-# unconditionally; encode_transition adds the selector guards.
 
 
-def encode_vd(k: int, transition: int, layout: StepLayout) -> List[Clause]:
-    """Vertex deletion at k: pairs touching k go absent, the rest are copied."""
-    t, n = transition, layout.n
-    clauses: List[Clause] = []
-    for u, v in pairs(n):
-        pre = layout.edge_var(t, u, v)
-        post = layout.edge_var(t + 1, u, v)
-        if k in (u, v):
-            clauses.append([-post])
-        else:
-            clauses.append([post, -pre])
-            clauses.append([-post, pre])
-    return clauses
+def encode_operation(
+    op: Operation, inst: SynthesisInstance, transition: int, layout: StepLayout
+) -> List[Clause]:
+    """Unguarded relation of one operation between states t and t+1.
 
+    Each pair (u, v) with pre-state variable a and post-state variable b gets
+    one clause shape:
 
-def encode_lc(k: int, transition: int, layout: StepLayout) -> List[Clause]:
-    """Local complementation at k.
-
-    A pair (u, v) avoiding k flips exactly when both u and v are neighbors of
-    k in the pre-state; pairs touching k are copied unchanged.
+    * clear, for VD at k on pairs touching k: not b;
+    * toggle, for EF on its designated pair: b = not a;
+    * conditional toggle, for LC at k on pairs avoiding k: b = a xor (uk and vk),
+      where uk and vk are the pre-state variables of (u, k) and (v, k);
+    * copy, for every other pair: b = a.
     """
-    t, n = transition, layout.n
+    n = layout.n
+    pre = layout.state_vars(transition)
+    post = layout.state_vars(transition + 1)
+    k = op.arg
+    if op.kind == LC:
+        # at_k[w] is the pre-state variable of the pair (w, k)
+        at_k = [pre[pair_index(n, *normalize_edge(w, k))] if w != k else 0 for w in range(n)]
+    flip = inst.designated[k] if op.kind == EF else None
     clauses: List[Clause] = []
-    for u, v in pairs(n):
-        pre = layout.edge_var(t, u, v)
-        post = layout.edge_var(t + 1, u, v)
-        if k in (u, v):
-            clauses.append([post, -pre])
-            clauses.append([-post, pre])
-            continue
-        uk = layout.edge_var(t, *normalize_edge(u, k))
-        vk = layout.edge_var(t, *normalize_edge(v, k))
-        clauses.append([-uk, -vk, post, pre])
-        clauses.append([-uk, -vk, -post, -pre])
-        clauses.append([uk, post, -pre])
-        clauses.append([vk, post, -pre])
-        clauses.append([uk, -post, pre])
-        clauses.append([vk, -post, pre])
-    return clauses
-
-
-def encode_ef(designated_pair: Edge, transition: int, layout: StepLayout) -> List[Clause]:
-    """Edge flip of one designated pair: it toggles, the rest are copied."""
-    t, n = transition, layout.n
-    flip = normalize_edge(*designated_pair)
-    clauses: List[Clause] = []
-    for u, v in pairs(n):
-        pre = layout.edge_var(t, u, v)
-        post = layout.edge_var(t + 1, u, v)
-        if (u, v) == flip:
-            clauses.append([post, pre])
-            clauses.append([-post, -pre])
+    for (u, v), a, b in zip(pairs(n), pre, post):
+        if op.kind == VD and k in (u, v):
+            clauses.append([-b])
+        elif (u, v) == flip:
+            clauses += [[b, a], [-b, -a]]
+        elif op.kind == LC and k not in (u, v):
+            uk, vk = at_k[u], at_k[v]
+            clauses += [[-uk, -vk, b, a], [-uk, -vk, -b, -a]]
+            clauses += [[uk, b, -a], [vk, b, -a], [uk, -b, a], [vk, -b, a]]
         else:
-            clauses.append([post, -pre])
-            clauses.append([-post, pre])
-    return clauses
-
-
-def encode_identity(transition: int, layout: StepLayout) -> List[Clause]:
-    """Copy the state unchanged whenever the kind selector picks identity.
-
-    Unlike the other relations the z-guard is built in, because identity is
-    selected by kind alone (no argument).
-    """
-    t = transition
-    guard = encode_neq(layout.z_vars(t), KIND_ID)
-    clauses: List[Clause] = []
-    for u, v in pairs(layout.n):
-        pre = layout.edge_var(t, u, v)
-        post = layout.edge_var(t + 1, u, v)
-        clauses.append([*guard, post, -pre])
-        clauses.append([*guard, -post, pre])
+            clauses += [[b, -a], [-b, a]]
     return clauses
 
 
@@ -275,24 +240,23 @@ def _selector_domain(transition: int, layout: StepLayout) -> List[Clause]:
 def encode_transition(
     inst: SynthesisInstance, transition: int, layout: StepLayout
 ) -> List[Clause]:
-    """All relations between states t and t+1, widened by selector guards."""
+    """Every operation's relation between states t and t+1, widened by its guard.
+
+    The guard of an operation is neq(y, arg) + neq(z, code); identity is
+    selected by its kind alone, so its guard drops the y part.
+    """
     t = transition
     y = layout.y_vars(t)
     z = layout.z_vars(t)
+    operations = [Operation(kind, k) for k in range(layout.n) for kind in (LC, VD)]
+    operations += [Operation(EF, i) for i in range(len(inst.designated))]
+    operations.append(Operation(ID, 0))
     clauses: List[Clause] = []
-    for k in range(layout.n):
-        arg_guard = encode_neq(y, k)
-        guard = [*arg_guard, *encode_neq(z, KIND_LC)]
-        for clause in encode_lc(k, t, layout):
-            clauses.append([*guard, *clause])
-        guard = [*arg_guard, *encode_neq(z, KIND_VD)]
-        for clause in encode_vd(k, t, layout):
-            clauses.append([*guard, *clause])
-    for i, pair in enumerate(inst.designated):
-        guard = [*encode_neq(y, i), *encode_neq(z, KIND_EF)]
-        for clause in encode_ef(pair, t, layout):
-            clauses.append([*guard, *clause])
-    clauses.extend(encode_identity(t, layout))
+    for op in operations:
+        guard = encode_neq(z, KIND_CODE[op.kind])
+        if op.kind != ID:
+            guard = encode_neq(y, op.arg) + guard
+        clauses.extend(guard + clause for clause in encode_operation(op, inst, t, layout))
     clauses.extend(_selector_domain(t, layout))
     return clauses
 

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from .cnf import Assignment
-from .encoding import KIND_EF, KIND_ID, KIND_LC, KIND_VD, StepLayout, SynthesisInstance
-from .graphs import EF, ID, LC, VD, Edge, Graph, Operation, apply_operation, pairs
+from .encoding import KIND_CODE, StepLayout, SynthesisInstance
+from .graphs import EF, ID, LC, VD, Edge, Graph, Operation, apply_operation
 
 
 @dataclass(frozen=True)
@@ -54,39 +54,24 @@ def _register_value(assignment: Assignment, variables: Sequence[int]) -> int:
 
 
 def _state_graph(assignment: Assignment, step: int, layout: StepLayout) -> Graph:
-    bits = 0
-    for i, (u, v) in enumerate(pairs(layout.n)):
-        if assignment[layout.edge_var(step, u, v)]:
-            bits |= 1 << i
-    return Graph(layout.n, bits)
-
-
-_KIND_NAMES = {KIND_LC: LC, KIND_VD: VD, KIND_EF: EF, KIND_ID: ID}
+    return Graph(layout.n, _register_value(assignment, layout.state_vars(step)))
 
 
 def decode(assignment: Assignment, layout: StepLayout) -> Witness:
-    """Read the state and selector variables of a model back into a witness.
+    """Read the state rows and selector registers of a model back into a witness.
 
-    Identity steps are kept; strip_identities removes them.
+    Identity steps are padding: each is dropped together with the state it
+    repeats, so the surviving states still line up with the operations.
     """
+    kinds = {code: kind for kind, code in KIND_CODE.items()}
     operations: List[Operation] = []
     states: List[Graph] = [_state_graph(assignment, 0, layout)]
     for t in range(layout.num_transitions):
-        kind = _register_value(assignment, layout.z_vars(t))
-        arg = _register_value(assignment, layout.y_vars(t))
-        operations.append(Operation(_KIND_NAMES[kind], arg))
+        kind = kinds[_register_value(assignment, layout.z_vars(t))]
+        if kind == ID:
+            continue
+        operations.append(Operation(kind, _register_value(assignment, layout.y_vars(t))))
         states.append(_state_graph(assignment, t + 1, layout))
-    return Witness(tuple(operations), tuple(states))
-
-
-def strip_identities(witness: Witness) -> Witness:
-    """Drop identity padding steps; the surviving states still line up."""
-    operations: List[Operation] = []
-    states: List[Graph] = [witness.initial]
-    for op, state in zip(witness.operations, witness.states[1:]):
-        if op.kind != ID:
-            operations.append(op)
-            states.append(state)
     return Witness(tuple(operations), tuple(states))
 
 

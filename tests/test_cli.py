@@ -197,12 +197,18 @@ def test_synth_reports_bad_instance_files(tmp_path, capsys):
         ["encode", "STAR", "--states", "2", "--out-prefix", "NODIR"],
         ["gen", "--family", "er", "--parties", "a,b"],
         ["gen", "--family", "er", "--n", "4", "--d-size", "-1"],
+        ["gen", "--family", "demo", "--d-size", "3"],
+        ["gen", "--family", "demo", "--parties", "0,5"],
         ["bench", "--family", "er", "--sizes", "1"],
         ["bench", "--family", "er", "--sizes", "x"],
         ["bench", "--family", "er", "--sizes", "4", "--p", "2"],
         ["bench", "--family", "er", "--sizes", "4", "--d-size", "9"],
         ["bench", "--family", "er", "--sizes", "4", "--max-ops", "-1"],
         ["bench", "--family", "er", "--sizes", "4", "--solver", "no-such-solver"],
+        ["bench", "--family", "er", "--sizes", "4", "--seeds", "0"],
+        ["bench", "--family", "er", "--sizes", "4", "--seeds", "-1"],
+        ["bench", "--family", "er", "--sizes", "4", "--jobs", "0"],
+        ["bench", "--family", "er", "--sizes", "4", "--jobs", "-3"],
     ],
     ids="-".join,
 )

@@ -14,30 +14,27 @@ import pytest
 
 from gssynth.cnf import CnfFormula, SolveStatus, clause_satisfied
 from gssynth.encoding import (
-    KIND_EF,
-    KIND_ID,
-    KIND_LC,
-    KIND_VD,
+    KIND_CODE,
     StepLayout,
     SynthesisInstance,
     clause_bound,
     encode_bmc,
-    encode_ef,
     encode_graph_constraint,
-    encode_identity,
-    encode_lc,
     encode_leq,
     encode_neq,
+    encode_operation,
     encode_transition,
-    encode_vd,
     selector_bits,
 )
 from gssynth.graphs import (
+    EF,
+    ID,
+    LC,
+    VD,
     Graph,
+    Operation,
     all_graphs,
-    delete_vertex_edges,
-    flip_edge,
-    local_complement,
+    apply_operation,
     pair_count,
     pairs,
     star_graph,
@@ -89,6 +86,7 @@ def test_layout_numbering_n4_d2():
     assert layout.edge_var(0, 0, 1) == 1
     assert layout.edge_var(0, 2, 3) == 6
     assert layout.edge_var(1, 1, 0) == 7  # order of endpoints does not matter
+    assert layout.state_vars(1) == [7, 8, 9, 10, 11, 12]
     assert layout.y_vars(0) == [13, 14, 15]
     assert layout.z_vars(0) == [16, 17]
 
@@ -109,6 +107,8 @@ def test_layout_rejects_bad_indices():
     layout = StepLayout(4, 2)
     with pytest.raises(ValueError):
         layout.edge_var(2, 0, 1)
+    with pytest.raises(ValueError):
+        layout.state_vars(2)
     with pytest.raises(ValueError):
         layout.y_vars(1)
     with pytest.raises(ValueError):
@@ -191,32 +191,74 @@ def relation_models(clauses, layout):
     return found
 
 
+# every operation a transition offers at n=3 with one designated pair
+N3 = SynthesisInstance(Graph(3), Graph(3), ((0, 1),))
+N3_LAYOUT = StepLayout(3, 2, num_designated=1)
+N3_OPERATIONS = [
+    *(Operation(kind, k) for k in range(3) for kind in (LC, VD)),
+    Operation(EF, 0),
+    Operation(ID, 0),
+]
+
+
+def assert_relation_is_exact(op):
+    expected = {(g, apply_operation(g, op, N3.designated)) for g in all_graphs(3)}
+    clauses = encode_operation(op, N3, 0, N3_LAYOUT)
+    assert relation_models(clauses, N3_LAYOUT) == expected, op
+
+
 def test_vd_relation_is_exact_for_every_vertex():
-    layout = StepLayout(3, 2)
     for k in range(3):
-        expected = {(g, delete_vertex_edges(g, k)) for g in all_graphs(3)}
-        assert relation_models(encode_vd(k, 0, layout), layout) == expected
-
-
-def test_vd_clause_count_and_isolation():
-    layout = StepLayout(3, 2)
-    clauses = encode_vd(0, 0, layout)
-    assert len(clauses) == 4  # (n-1) units + 2*(C(n,2)-(n-1)) equivalences
-    for _, post in relation_models(clauses, layout):
-        assert not post.edges() or all(0 not in e for e in post.edges())
+        assert_relation_is_exact(Operation(VD, k))
 
 
 def test_lc_relation_is_exact_for_every_vertex():
-    layout = StepLayout(3, 2)
     for k in range(3):
-        expected = {(g, local_complement(g, k)) for g in all_graphs(3)}
-        assert relation_models(encode_lc(k, 0, layout), layout) == expected
+        assert_relation_is_exact(Operation(LC, k))
+
+
+def test_ef_relation_is_exact():
+    assert_relation_is_exact(Operation(EF, 0))
+
+
+def test_identity_relation_is_exact():
+    assert_relation_is_exact(Operation(ID, 0))
+
+
+@pytest.mark.parametrize(
+    "op, count",
+    [
+        (Operation(VD, 0), 4),  # (n-1) units + 2*(C(n,2)-(n-1)) equivalences
+        (Operation(LC, 2), 10),  # 6 per pair avoiding k, 2 per pair touching k
+        (Operation(EF, 0), 6),  # 2 xor + 2 per copied pair
+        (Operation(ID, 0), 6),  # 2 per copied pair
+    ],
+    ids=lambda value: value.kind if isinstance(value, Operation) else str(value),
+)
+def test_operation_clause_count(op, count):
+    assert len(encode_operation(op, N3, 0, N3_LAYOUT)) == count
+
+
+def test_encoder_does_not_use_the_graph_semantics(monkeypatch):
+    # the exactness tests compare the encoder with these functions
+    import gssynth.encoding
+    import gssynth.graphs
+
+    def refuse(*args):
+        raise AssertionError("the encoder called the graph semantics")
+
+    for name in ("apply_operation", "local_complement", "delete_vertex_edges", "flip_edge"):
+        assert not hasattr(gssynth.encoding, name)
+        monkeypatch.setattr(gssynth.graphs, name, refuse)
+    for op in N3_OPERATIONS:
+        encode_operation(op, N3, 0, N3_LAYOUT)
+    encode_bmc(N3, 3)
 
 
 def test_lc_clause_count_and_forcing():
-    layout = StepLayout(3, 2)
-    clauses = encode_lc(2, 0, layout)
-    assert len(clauses) == 10  # 6 per pair avoiding k, 2 per pair touching k
+    layout = N3_LAYOUT
+    clauses = encode_operation(Operation(LC, 2), N3, 0, layout)
+    assert len(clauses) == 10
     # x02 = x12 = true with x01 = false must force x'01 = true
     x01 = layout.edge_var(0, 0, 1)
     x02 = layout.edge_var(0, 0, 2)
@@ -229,33 +271,32 @@ def test_lc_clause_count_and_forcing():
             assert assignment[post01]
 
 
-def test_ef_relation_is_exact():
-    layout = StepLayout(3, 2, num_designated=1)
-    clauses = encode_ef((0, 1), 0, layout)
-    assert len(clauses) == 6  # 2 xor + 2 per copied pair
-    expected = {(g, flip_edge(g, 0, 1)) for g in all_graphs(3)}
-    assert relation_models(clauses, layout) == expected
-
-
 def test_ef_xor_forces_the_flip():
-    layout = StepLayout(3, 2, num_designated=1)
-    clauses = encode_ef((0, 1), 0, layout)
-    for pre, post in relation_models(clauses, layout):
+    clauses = encode_operation(Operation(EF, 0), N3, 0, N3_LAYOUT)
+    for pre, post in relation_models(clauses, N3_LAYOUT):
         assert pre.has_edge(0, 1) != post.has_edge(0, 1)
 
 
 def test_identity_clauses_guarded_by_kind():
+    # identity is picked by kind alone: its clauses are the only relation
+    # clauses in a transition whose guard has no y literal
     layout = StepLayout(3, 2)
-    clauses = encode_identity(0, layout)
+    y_vars = set(layout.y_vars(0))
+    edge_vars = list(range(1, 7))
+    clauses = [
+        clause
+        for clause in encode_transition(SynthesisInstance(Graph(3), Graph(3)), 0, layout)
+        if not y_vars & {abs(lit) for lit in clause}
+        and set(edge_vars) & {abs(lit) for lit in clause}
+    ]
     assert len(clauses) == 6
     z0, z1 = layout.z_vars(0)
-    edge_vars = list(range(1, 7))
     for z_value in range(4):
         z_assign = register_assignment([z0, z1], z_value)
         for rest in assignments_over(edge_vars):
             assignment = {**rest, **z_assign}
             ok = satisfies(clauses, assignment)
-            if z_value == KIND_ID:
+            if z_value == KIND_CODE[ID]:
                 copied = all(assignment[v] == assignment[v + 3] for v in (1, 2, 3))
                 assert ok == copied
             else:
@@ -266,14 +307,14 @@ def test_identity_clauses_guarded_by_kind():
 
 
 def transition_ops(n: int, designated):
-    """(selector value pairs, semantic function) for every legal selector."""
+    """Semantic operation for every legal (y, z) selector value pair."""
     table = {}
     for k in range(n):
-        table[(k, KIND_LC)] = lambda g, k=k: local_complement(g, k)
-        table[(k, KIND_VD)] = lambda g, k=k: delete_vertex_edges(g, k)
-    for i, (u, v) in enumerate(designated):
-        table[(i, KIND_EF)] = lambda g, u=u, v=v: flip_edge(g, u, v)
-    table[(0, KIND_ID)] = lambda g: g
+        table[(k, KIND_CODE[LC])] = Operation(LC, k)
+        table[(k, KIND_CODE[VD])] = Operation(VD, k)
+    for i in range(len(designated)):
+        table[(i, KIND_CODE[EF])] = Operation(EF, i)
+    table[(0, KIND_CODE[ID])] = Operation(ID, 0)
     return table
 
 
@@ -303,7 +344,7 @@ def test_transition_models_project_onto_the_operation_relation(designated):
                         continue
                     model_count += 1
                     assert (y_value, z_value) in legal
-                    assert post == legal[(y_value, z_value)](pre)
+                    assert post == apply_operation(pre, legal[(y_value, z_value)], designated)
                     seen.add((pre, y_value, z_value))
     # every legal selector applies to every graph exactly once
     assert model_count == 8 * len(legal)
@@ -320,6 +361,23 @@ def test_transition_clause_counts_n3():
     layout1 = StepLayout(3, 2, 1)
     # adds 6 EF clauses and one extra y-range clause pair for z=2
     assert len(encode_transition(inst1, 0, layout1)) == 3 * 14 + 6 + 6 + 5
+
+
+def test_later_transitions_renumber_transition_zero():
+    # transition t is transition 0 with every edge variable moved t states on
+    # and every selector variable moved t selector blocks on
+    inst = SynthesisInstance(Graph(4), Graph(4), ((0, 2), (1, 3)))
+    layout = StepLayout(4, 4, num_designated=2)
+    first_selector = layout.num_states * layout.pairs_per_state + 1
+    first = encode_transition(inst, 0, layout)
+    for t in (1, 2):
+
+        def moved(lit: int) -> int:
+            var = abs(lit)
+            var += t * (layout.selector_block if var >= first_selector else layout.pairs_per_state)
+            return var if lit > 0 else -var
+
+        assert encode_transition(inst, t, layout) == [[moved(lit) for lit in c] for c in first]
 
 
 # --- whole formula ------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Witness decoding, identity stripping, replay checking, and serialization."""
+"""Witness decoding, replay checking, and serialization."""
 
 from __future__ import annotations
 
@@ -22,7 +22,6 @@ from gssynth.witness import (
     decode,
     operations_from_text,
     replay_verify,
-    strip_identities,
     witness_from_operations,
     witness_to_text,
 )
@@ -72,11 +71,12 @@ def test_decode_single_state_model():
 
 
 def test_decode_keeps_padding_and_replays():
-    # source == target at three states: the model may pad with identities or
-    # apply an operation and undo it; either way the decoded witness replays
+    # source == target at three states: the model may pad with identities,
+    # which decode drops, or apply an operation and undo it; either way the
+    # decoded witness replays
     inst = SynthesisInstance(STAR4, STAR4)
     witness = solve_and_decode(inst, 3)
-    assert len(witness.operations) == 2
+    assert len(witness.operations) <= 2
     assert witness.initial == witness.final == STAR4
     assert replay_verify(inst, witness).ok
 
@@ -91,24 +91,24 @@ def test_decode_register_order_is_lsb_first():
     assert witness.operations == (Operation(VD, 2),)
 
 
-# --- identity stripping ------------------------------------------------------------
-
-
-def test_strip_identities_examples():
-    g = Graph(3)
-    ops = (Operation(LC, 0), Operation(ID, 0), Operation(ID, 0))
-    w = witness_from_operations(SynthesisInstance(g, g), ops)
-    assert strip_identities(w).operations == (Operation(LC, 0),)
-
-    only_id = witness_from_operations(SynthesisInstance(g, g), (Operation(ID, 0),))
-    assert strip_identities(only_id).operations == ()
-
-    mixed_ops = (Operation(VD, 2), Operation(ID, 0), Operation(LC, 1))
-    mixed = witness_from_operations(SynthesisInstance(g, g), mixed_ops)
-    stripped = strip_identities(mixed)
-    assert stripped.operations == (Operation(VD, 2), Operation(LC, 1))
-    assert len(stripped.states) == 3
-    assert stripped.final == mixed.final
+def test_decode_drops_identity_steps_with_their_states():
+    # LC 0, ID, VD 2 from the star: K4, K4 again, then K4 without vertex 2
+    k4_minus_2 = Graph.from_edges(4, [(0, 1), (0, 3), (1, 3)])
+    states = (STAR4, complete_graph(4), complete_graph(4), k4_minus_2)
+    selectors = ((0, 0), (0, 3), (2, 1))  # (y, z): LC = 0, ID = 3, VD = 1
+    layout = StepLayout(4, len(states))
+    assignment = {}
+    for step, g in enumerate(states):
+        for i, var in enumerate(layout.state_vars(step)):
+            assignment[var] = bool(g.bits >> i & 1)
+    for t, (y, z) in enumerate(selectors):
+        for j, var in enumerate(layout.y_vars(t)):
+            assignment[var] = bool(y >> j & 1)
+        for j, var in enumerate(layout.z_vars(t)):
+            assignment[var] = bool(z >> j & 1)
+    witness = decode(assignment, layout)
+    assert witness.operations == (Operation(LC, 0), Operation(VD, 2))
+    assert witness.states == (STAR4, complete_graph(4), k4_minus_2)
 
 
 # --- replay ----------------------------------------------------------------------
