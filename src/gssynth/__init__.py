@@ -49,7 +49,7 @@ from .graphs import (
     neighborhood,
     star_graph,
 )
-from .oracle import ReachabilityResult, StateCapExceeded, lc_orbit, reachable_bfs, reachable_set
+from .oracle import ReachabilityResult, StateCapExceeded, reachable_bfs, reachable_set
 from .solvers import ExternalSolver, InProcessSolver, SolveResult, SolverBackend, resolve_backend
 from .witness import Witness, decode, replay_verify, witness_to_text
 

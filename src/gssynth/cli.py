@@ -137,13 +137,21 @@ def _build_instance(
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    if args.family == "demo" and (args.d_size or args.parties):
-        raise SystemExit("gssynth: the demo family takes no --d-size or --parties")
-    parties = _parse_list(args.parties, "--parties", int) if args.parties else None
-    try:
-        inst, meta = _build_instance(
-            args.family, args.n, args.p, args.seed, args.d_size, parties
+    if args.family == "demo" and (
+        args.n is not None or args.p is not None or args.seed is not None
+        or args.d_size or args.parties
+    ):
+        raise SystemExit(
+            "gssynth: the demo family takes no --n, --p, --seed, --d-size or --parties"
         )
+    if args.family == "network" and args.n is not None:
+        raise SystemExit("gssynth: the network family takes no --n")
+    parties = _parse_list(args.parties, "--parties", int) if args.parties else None
+    n = 10 if args.n is None else args.n
+    p = 0.8 if args.p is None else args.p
+    seed = 0 if args.seed is None else args.seed
+    try:
+        inst, meta = _build_instance(args.family, n, p, seed, args.d_size, parties)
     except ValueError as exc:
         raise SystemExit(f"gssynth: {exc}") from exc
     _write_output(write_instance(inst, meta), args.out)
@@ -260,8 +268,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
     for option, value in (("--seeds", args.seeds), ("--jobs", args.jobs)):
         if value < 1:
             raise SystemExit(f"gssynth: {option} must be at least 1")
+    if args.family == "network" and args.sizes is not None:
+        raise SystemExit("gssynth: the network family takes no --sizes")
     sizes = (
-        _parse_list(args.sizes, "--sizes", int)
+        _parse_list(args.sizes or "10", "--sizes", int)
         if args.family == "er"
         else [builtin_network_14().n]
     )
@@ -308,9 +318,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("gen", help="generate an instance file")
     gen.add_argument("--family", choices=("er", "network", "demo"), required=True)
-    gen.add_argument("--n", type=int, default=10, help="vertex count (er family)")
-    gen.add_argument("--p", type=float, default=0.8, help="edge/link probability")
-    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--n", type=int, help="vertex count (er family; default 10)")
+    gen.add_argument("--p", type=float,
+                     help="edge/link probability (er and network; default 0.8)")
+    gen.add_argument("--seed", type=int, help="er and network (default 0)")
     gen.add_argument("--d-size", type=int, default=0,
                      help="number of designated pairs (drawn with seed+1)")
     gen.add_argument("--parties",
@@ -350,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ben = sub.add_parser("bench", help="run an instance family and tabulate results")
     ben.add_argument("--family", choices=("er", "network"), required=True)
-    ben.add_argument("--sizes", default="10", help="comma separated n values (er)")
+    ben.add_argument("--sizes", help="comma separated n values (er; default 10)")
     ben.add_argument("--p", default="0.8", help="comma separated probabilities")
     ben.add_argument("--seeds", type=int, default=3, help="seeds 0..k-1")
     ben.add_argument("--d-size", type=int, default=0)

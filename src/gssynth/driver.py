@@ -160,6 +160,9 @@ def synthesize(
     probes: List[DepthProbe] = []
 
     def probe(num_states: int):
+        # a spent budget stops before encoding, which costs seconds at paper scale
+        if deadline is not None and time.monotonic() >= deadline:
+            raise _BudgetExhausted
         formula, layout = encode_bmc(inst, num_states)
         budget = limits.solve_seconds
         if deadline is not None:

@@ -21,7 +21,6 @@ from .graphs import (
     Graph,
     Operation,
     apply_operation,
-    local_complement,
 )
 
 DEFAULT_STATE_CAP = 1 << 22
@@ -111,20 +110,6 @@ def reachable_set(
                     raise StateCapExceeded(
                         f"search exceeded {state_cap} states before closing"
                     )
-                seen.add(nxt)
-                queue.append(nxt)
-    return seen
-
-
-def lc_orbit(start: Graph) -> Set[Graph]:
-    """Closure of a graph under local complementation alone."""
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        current = queue.popleft()
-        for k in range(start.n):
-            nxt = local_complement(current, k)
-            if nxt not in seen:
                 seen.add(nxt)
                 queue.append(nxt)
     return seen

@@ -20,7 +20,7 @@ import subprocess
 import tempfile
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Protocol, Sequence
+from typing import List, Optional, Protocol, Sequence
 
 from .cnf import Assignment, CnfFormula, SolveStatus, parse_model, write_dimacs
 
@@ -136,8 +136,10 @@ class InProcessSolver:
     """Conflict-driven clause learning solver.
 
     Two-literal watching, first-UIP learning, exponential-decay variable
-    activities with phase saving, and Luby-sequence restarts.  Deterministic:
-    no randomized heuristics, so repeated runs give identical models.
+    activities with phase saving, and Luby-sequence restarts.  The assignment
+    and the watch lists are plain lists indexed by literal (after MiniSat), so
+    propagation reads a literal's value with one lookup.  Deterministic: no
+    randomized heuristics, so repeated runs give identical models.
     """
 
     name = "builtin"
@@ -176,13 +178,14 @@ def _luby(i: int) -> int:
 class _Search:
     def __init__(self, formula: CnfFormula) -> None:
         self.nv = formula.num_vars
-        self.assign = [0] * (self.nv + 1)  # 0 free, 1 true, -1 false
+        # indexed by literal: -v lands at 2*nv+1-v, past every positive literal
+        self.value = [0] * (2 * self.nv + 1)  # 0 free, 1 true, -1 false
+        self.watches: List[List[List[int]]] = [[] for _ in range(2 * self.nv + 1)]
         self.level = [0] * (self.nv + 1)
         self.reason: List[Optional[List[int]]] = [None] * (self.nv + 1)
         self.saved_phase = [False] * (self.nv + 1)
         self.activity = [0.0] * (self.nv + 1)
         self.act_inc = 1.0
-        self.watches: Dict[int, List[List[int]]] = {}
         self.trail: List[int] = []
         self.trail_lim: List[int] = []
         self.qhead = 0
@@ -205,23 +208,18 @@ class _Search:
         self._attach(clause)
 
     def _attach(self, clause: List[int]) -> None:
-        self.watches.setdefault(clause[0], []).append(clause)
-        self.watches.setdefault(clause[1], []).append(clause)
+        self.watches[clause[0]].append(clause)
+        self.watches[clause[1]].append(clause)
 
     # assignment ---------------------------------------------------------
 
-    def _value(self, lit: int) -> int:
-        a = self.assign[lit if lit > 0 else -lit]
-        if a == 0:
-            return 0
-        return a if lit > 0 else -a
-
     def _enqueue(self, lit: int, reason: Optional[List[int]]) -> bool:
-        val = self._value(lit)
+        val = self.value[lit]
         if val != 0:
             return val > 0
+        self.value[lit] = 1
+        self.value[-lit] = -1
         var = abs(lit)
-        self.assign[var] = 1 if lit > 0 else -1
         self.level[var] = len(self.trail_lim)
         self.reason[var] = reason
         self.trail.append(lit)
@@ -233,7 +231,7 @@ class _Search:
             for lit in self.trail[mark:]:
                 var = abs(lit)
                 self.saved_phase[var] = lit > 0
-                self.assign[var] = 0
+                self.value[lit] = self.value[-lit] = 0
                 self.reason[var] = None
             del self.trail[mark:]
         self.qhead = min(self.qhead, len(self.trail))
@@ -241,12 +239,11 @@ class _Search:
     # propagation --------------------------------------------------------
 
     def _propagate(self) -> Optional[List[int]]:
+        value = self.value
         while self.qhead < len(self.trail):
             false_lit = -self.trail[self.qhead]
             self.qhead += 1
-            watchers = self.watches.get(false_lit)
-            if not watchers:
-                continue
+            watchers = self.watches[false_lit]
             kept: List[List[int]] = []
             idx = 0
             total = len(watchers)
@@ -256,17 +253,17 @@ class _Search:
                 if clause[0] == false_lit:
                     clause[0], clause[1] = clause[1], clause[0]
                 first = clause[0]
-                if self._value(first) > 0:
+                if value[first] > 0:
                     kept.append(clause)
                     continue
                 for k in range(2, len(clause)):
-                    if self._value(clause[k]) >= 0:
+                    if value[clause[k]] >= 0:
                         clause[1], clause[k] = clause[k], clause[1]
-                        self.watches.setdefault(clause[1], []).append(clause)
+                        self.watches[clause[1]].append(clause)
                         break
                 else:
                     kept.append(clause)
-                    if self._value(first) < 0:
+                    if value[first] < 0:
                         kept.extend(watchers[idx:])
                         self.watches[false_lit] = kept
                         return clause
@@ -330,7 +327,7 @@ class _Search:
         best = 0
         best_act = -1.0
         for var in range(1, self.nv + 1):
-            if self.assign[var] == 0 and self.activity[var] > best_act:
+            if self.value[var] == 0 and self.activity[var] > best_act:
                 best = var
                 best_act = self.activity[var]
         return best
@@ -366,7 +363,7 @@ class _Search:
                 continue
             var = self._pick_branch_var()
             if var == 0:
-                model = {v: self.assign[v] > 0 for v in range(1, self.nv + 1)}
+                model = {v: self.value[v] > 0 for v in range(1, self.nv + 1)}
                 return SolveStatus.SAT, model
             if deadline is not None and time.monotonic() > deadline:
                 return SolveStatus.UNKNOWN, None

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import os
 import subprocess
 import sys
 
 import pytest
 
+import gssynth
 from gssynth.cli import main
 from gssynth.cnf import write_dimacs
 from gssynth.encoding import SynthesisInstance, encode_bmc, layout_to_text
@@ -199,6 +201,10 @@ def test_synth_reports_bad_instance_files(tmp_path, capsys):
         ["gen", "--family", "er", "--n", "4", "--d-size", "-1"],
         ["gen", "--family", "demo", "--d-size", "3"],
         ["gen", "--family", "demo", "--parties", "0,5"],
+        ["gen", "--family", "demo", "--n", "3"],
+        ["gen", "--family", "demo", "--p", "0.5"],
+        ["gen", "--family", "demo", "--seed", "5"],
+        ["gen", "--family", "network", "--n", "5"],
         ["bench", "--family", "er", "--sizes", "1"],
         ["bench", "--family", "er", "--sizes", "x"],
         ["bench", "--family", "er", "--sizes", "4", "--p", "2"],
@@ -209,6 +215,7 @@ def test_synth_reports_bad_instance_files(tmp_path, capsys):
         ["bench", "--family", "er", "--sizes", "4", "--seeds", "-1"],
         ["bench", "--family", "er", "--sizes", "4", "--jobs", "0"],
         ["bench", "--family", "er", "--sizes", "4", "--jobs", "-3"],
+        ["bench", "--family", "network", "--sizes", "5,6"],
     ],
     ids="-".join,
 )
@@ -307,6 +314,9 @@ def test_bench_rejects_the_demo_family(capsys):
 def test_python_dash_m_smoke():
     proc = subprocess.run(
         [sys.executable, "-m", "gssynth", "gen", "--family", "demo"],
+        # run where the package under test lives, so the child imports it too,
+        # installed or not
+        cwd=os.path.dirname(os.path.dirname(gssynth.__file__)),
         capture_output=True,
         text=True,
         timeout=60,

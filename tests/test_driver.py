@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 
+import gssynth.driver
 from gssynth.cnf import CnfFormula, SolveStatus
 from gssynth.driver import (
     Limits,
@@ -12,7 +13,7 @@ from gssynth.driver import (
     synthesize,
     trivially_unreachable,
 )
-from gssynth.encoding import SynthesisInstance, StepLayout
+from gssynth.encoding import SynthesisInstance, StepLayout, encode_bmc
 from gssynth.generators import secret_sharing_demo
 from gssynth.graphs import Graph, pair_count, star_graph
 from gssynth.oracle import reachable_bfs
@@ -139,7 +140,14 @@ def test_synthesize_with_a_shallow_cap_returns_unknown():
     assert "proves nothing" in outcome.reason
 
 
-def test_synthesize_respects_the_total_budget():
+def test_synthesize_respects_the_total_budget(monkeypatch):
+    encodings = []
+
+    def counting_encode_bmc(*args):
+        encodings.append(args)
+        return encode_bmc(*args)
+
+    monkeypatch.setattr(gssynth.driver, "encode_bmc", counting_encode_bmc)
     outcome = synthesize(
         SynthesisInstance(STAR4, K4),
         InProcessSolver(),
@@ -148,6 +156,7 @@ def test_synthesize_respects_the_total_budget():
     assert outcome.verdict is Verdict.UNKNOWN
     assert outcome.probes == []
     assert "budget" in outcome.reason
+    assert encodings == []  # a spent budget is noticed before encoding
 
 
 def test_synthesize_reports_unknown_when_the_top_probe_times_out():

@@ -14,7 +14,6 @@ from gssynth.graphs import (
 )
 from gssynth.oracle import (
     StateCapExceeded,
-    lc_orbit,
     reachable_bfs,
     reachable_set,
     step_operations,
@@ -24,21 +23,6 @@ from gssynth.witness import replay_verify, witness_from_operations
 
 def complete_graph(n: int) -> Graph:
     return Graph(n, (1 << pair_count(n)) - 1)
-
-
-def dfs_lc_orbit(start: Graph) -> set:
-    """Independent recursive implementation used to cross-check lc_orbit."""
-    seen = set()
-
-    def walk(g: Graph) -> None:
-        if g in seen:
-            return
-        seen.add(g)
-        for k in range(g.n):
-            walk(local_complement(g, k))
-
-    walk(start)
-    return seen
 
 
 def test_step_operations_fixed_order():
@@ -120,30 +104,3 @@ def test_reachable_set_with_and_without_vd():
 def test_reachable_set_cap():
     with pytest.raises(StateCapExceeded):
         reachable_set(complete_graph(5), state_cap=3)
-
-
-# --- LC orbits -------------------------------------------------------------------
-
-
-def test_lc_orbit_of_an_edge_is_itself():
-    k2 = Graph.from_edges(2, [(0, 1)])
-    assert lc_orbit(k2) == {k2}
-
-
-def test_lc_orbit_of_star_contains_complete_graph():
-    star = star_graph(4, 0, (1, 2, 3))
-    orbit = lc_orbit(star)
-    assert complete_graph(4) in orbit
-
-
-def test_lc_orbit_of_path3_matches_independent_dfs():
-    path3 = Graph.from_edges(3, [(0, 1), (1, 2)])
-    orbit = lc_orbit(path3)
-    assert orbit == dfs_lc_orbit(path3)
-    assert len(orbit) == 4  # frozen: P3, its two relabelings, and the triangle
-
-
-def test_lc_orbits_match_dfs_on_all_n3_graphs():
-    for bits in range(1 << pair_count(3)):
-        g = Graph(3, bits)
-        assert lc_orbit(g) == dfs_lc_orbit(g)

@@ -68,6 +68,29 @@ def test_builtin_edge_cases():
     tautology.add_clause([1, -1])
     assert solver.solve(tautology).status is SolveStatus.SAT
 
+    # the highest variable sits at the boundary between the positive and the
+    # negative literal indices
+    for nv in (1, 2, 3):
+        positive = CnfFormula(nv)
+        positive.add_clause([nv])
+        result = solver.solve(positive)
+        assert result.status is SolveStatus.SAT and result.assignment[nv] is True
+
+        negative = CnfFormula(nv)
+        negative.add_clause([-nv])
+        result = solver.solve(negative)
+        assert result.status is SolveStatus.SAT and result.assignment[nv] is False
+
+        both = CnfFormula(nv)
+        both.add_clauses([[nv], [-nv]])
+        assert solver.solve(both).status is SolveStatus.UNSAT
+
+        unused = CnfFormula(nv + 1)  # variable nv + 1 is in no clause
+        unused.add_clause([-nv, 1])
+        result = solver.solve(unused)
+        assert result.status is SolveStatus.SAT
+        assert sorted(result.assignment) == list(range(1, nv + 2))
+
 
 def test_builtin_is_deterministic():
     rng = random.Random(3)
