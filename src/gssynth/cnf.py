@@ -8,8 +8,12 @@ from __future__ import annotations
 
 import enum
 import re
+import struct
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from itertools import pairwise
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 Literal = int
 Clause = List[Literal]
@@ -24,42 +28,89 @@ class SolveStatus(enum.Enum):
 
 @dataclass
 class CnfFormula:
-    """Clause list over a fixed variable range.
+    """Clauses over a fixed variable range, stored as DIMACS lays them out.
 
-    The variable range is declared up front; add_clause rejects literals
-    outside it so encoding bugs surface at construction time instead of as
-    silently-free solver variables.
+    `literals` holds every clause back to back, each ended by 0, and clause i
+    is `literals[starts[i]:starts[i + 1] - 1]`; `starts` ends with the length
+    of `literals`.  The variable range is declared up front; add_clauses
+    rejects literals outside it so encoding bugs surface at construction time
+    instead of as silently-free solver variables.
     """
 
     num_vars: int = 0
-    clauses: List[Clause] = field(default_factory=list)
+    literals: array = field(default_factory=lambda: array("i"), init=False)
+    starts: array = field(default_factory=lambda: array("q", [0]), init=False)
 
     def __post_init__(self) -> None:
         if self.num_vars < 0:
             raise ValueError("variable count must be nonnegative")
 
-    def add_clause(self, literals: Iterable[Literal]) -> None:
-        clause = list(literals)
-        for lit in clause:
-            if lit == 0:
-                raise ValueError("literal 0 is reserved for clause terminators")
-            if abs(lit) > self.num_vars:
-                raise ValueError(
-                    f"literal {lit} outside declared range 1..{self.num_vars}"
-                )
-        self.clauses.append(clause)
+    @property
+    def clauses(self) -> ClauseView:
+        return ClauseView(self)
 
-    def add_clauses(self, clause_list: Iterable[Iterable[Literal]]) -> None:
-        for clause in clause_list:
-            self.add_clause(clause)
+    def add_clause(self, literals: Iterable[Literal]) -> None:
+        self.add_clauses([list(literals)])
+
+    def add_clauses(self, clause_list: Iterable[Sequence[Literal]]) -> None:
+        """Append a batch of clauses, or none of them if one literal is bad."""
+        clauses = clause_list if isinstance(clause_list, list) else list(clause_list)
+        used = set().union(*clauses)
+        if 0 in used:
+            raise ValueError("literal 0 is reserved for clause terminators")
+        if used:
+            low, high = min(used), max(used)
+            if low < -self.num_vars or high > self.num_vars:
+                bad = low if low < -self.num_vars else high
+                raise ValueError(f"literal {bad} outside declared range 1..{self.num_vars}")
+        base = len(self.literals)
+        flat: List[Literal] = []
+        next_starts: List[int] = []
+        for clause in clauses:
+            flat += clause
+            flat.append(0)
+            next_starts.append(base + len(flat))
+        # packing converts the ints about twice as fast as array.fromlist
+        self.literals.frombytes(struct.pack(f"{len(flat)}i", *flat))
+        self.starts.fromlist(next_starts)
+
+
+class ClauseView(Sequence):
+    """The clauses of a formula, each an int memoryview into its literals.
+
+    Writing to an item writes to the formula.  The formula cannot grow while
+    an item is alive, since its buffer is exported.
+    """
+
+    def __init__(self, formula: CnfFormula) -> None:
+        self._formula = formula
+
+    def __len__(self) -> int:
+        return len(self._formula.starts) - 1
+
+    def __getitem__(self, index: int) -> memoryview:
+        count = len(self)
+        if not -count <= index < count:
+            raise IndexError("clause index out of range")
+        starts = self._formula.starts
+        index %= count
+        return memoryview(self._formula.literals)[starts[index] : starts[index + 1] - 1]
+
+    def __iter__(self) -> Iterator[memoryview]:
+        view = memoryview(self._formula.literals)
+        for start, end in pairwise(self._formula.starts):
+            yield view[start : end - 1]
 
 
 def write_dimacs(formula: CnfFormula) -> str:
     """Serialize to DIMACS CNF.  Deterministic: same formula, same bytes."""
-    lines = [f"p cnf {formula.num_vars} {len(formula.clauses)}"]
-    for clause in formula.clauses:
-        lines.append(" ".join(str(lit) for lit in clause) + " 0")
-    return "\n".join(lines) + "\n"
+    nv = formula.num_vars
+    # indexed by literal: -v lands at 2*nv+1-v, and the terminator 0 at 0
+    words = ["0\n"]
+    words += [f"{v} " for v in range(1, nv + 1)]
+    words += [f"-{v} " for v in range(nv, 0, -1)]
+    header = f"p cnf {nv} {len(formula.clauses)}\n"
+    return header + "".join(map(words.__getitem__, formula.literals))
 
 
 _ANSI_ESCAPE = re.compile(r"\x1b\[[0-9;]*[A-Za-z]")

@@ -20,6 +20,7 @@ import subprocess
 import tempfile
 import time
 from dataclasses import dataclass
+from itertools import pairwise
 from typing import List, Optional, Protocol, Sequence
 
 from .cnf import Assignment, CnfFormula, SolveStatus, parse_model, write_dimacs
@@ -53,8 +54,9 @@ class ExternalSolver:
     """Run a solver binary on a DIMACS file and parse its stdout.
 
     The solver runs inside a fresh temporary directory so solvers that drop
-    answer files never pollute the caller's working directory.  Exit status is
-    ignored; only the "s"/"v" lines are trusted.
+    answer files never pollute the caller's working directory.  Only the
+    "s"/"v" lines are trusted; without a verdict, the exit code and the last
+    line on stderr go into the result's detail.
     """
 
     def __init__(self, command: Sequence[str], name: Optional[str] = None) -> None:
@@ -88,7 +90,12 @@ class ExternalSolver:
                     detail="timeout",
                 )
             status, assignment = parse_model(proc.stdout, formula.num_vars)
-        return SolveResult(status, assignment, time.monotonic() - start)
+        detail = ""
+        if status is SolveStatus.UNKNOWN:
+            # no verdict: keep what the solver said about why
+            said = [line.strip() for line in proc.stderr.splitlines() if line.strip()]
+            detail = f"exit {proc.returncode}" + (f": {said[-1]}" if said else "")
+        return SolveResult(status, assignment, time.monotonic() - start, detail)
 
 
 # solvers probed for on PATH, with the flags that make them print a model
@@ -190,14 +197,15 @@ class _Search:
         self.trail_lim: List[int] = []
         self.qhead = 0
         self.root_conflict = False
-        for clause in formula.clauses:
-            self._add_clause(sorted(set(clause), key=abs))
+        literals = formula.literals.tolist()
+        for start, end in pairwise(formula.starts):
+            self._add_clause(sorted(set(literals[start : end - 1]), key=abs))
 
     # clause setup -------------------------------------------------------
 
     def _add_clause(self, clause: List[int]) -> None:
-        if any(-lit in clause for lit in clause):
-            return  # tautology
+        if len(set(map(abs, clause))) < len(clause):
+            return  # tautology: without repeats, a variable seen twice has both signs
         if not clause:
             self.root_conflict = True
             return

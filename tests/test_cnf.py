@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 
@@ -20,7 +21,7 @@ def test_add_clause_tracks_vars_and_clauses():
     f = CnfFormula(2)
     f.add_clause([1, -2])
     assert f.num_vars == 2
-    assert f.clauses == [[1, -2]]
+    assert [list(c) for c in f.clauses] == [[1, -2]]
 
 
 def test_add_clause_rejects_zero_and_out_of_range_literals():
@@ -29,6 +30,37 @@ def test_add_clause_rejects_zero_and_out_of_range_literals():
         f.add_clause([1, 0])
     with pytest.raises(ValueError):
         f.add_clause([5])
+    with pytest.raises(ValueError):
+        f.add_clause([-3])
+
+
+def test_a_rejected_batch_appends_nothing():
+    f = CnfFormula(2)
+    with pytest.raises(ValueError, match="literal 5 "):
+        f.add_clauses([[1], [5]])
+    assert len(f.clauses) == 0
+    with pytest.raises(ValueError, match="literal 0 "):
+        f.add_clauses([[2, -1], [1, 0, 2]])
+    assert len(f.clauses) == 0
+    assert write_dimacs(f) == "p cnf 2 0\n"
+
+
+def test_clause_view_reads_and_writes_through():
+    f = CnfFormula(3)
+    f.add_clauses([[1, -2], [], [3, -1, 2]])
+    f.add_clause([-3])
+    clauses = f.clauses
+    assert len(clauses) == 4
+    assert [list(c) for c in clauses] == [[1, -2], [], [3, -1, 2], [-3]]
+    assert list(clauses[-1]) == [-3] and list(clauses[-4]) == [1, -2]
+    assert len(clauses[2]) == 3 and -1 in clauses[2] and 1 not in clauses[2]
+    with pytest.raises(IndexError):
+        clauses[4]
+    with pytest.raises(IndexError):
+        clauses[-5]
+    clauses[2][1] = -clauses[2][1]
+    assert list(f.clauses[2]) == [3, 1, 2]
+    assert write_dimacs(f) == "p cnf 3 4\n1 -2 0\n0\n3 1 2 0\n-3 0\n"
 
 
 def test_empty_clause_is_unsatisfiable():
@@ -50,6 +82,32 @@ def test_write_dimacs_exact_bytes():
     g = CnfFormula(3)
     g.add_clause([-3])
     assert write_dimacs(g) == "p cnf 3 1\n-3 0\n"
+    # the empty clause is a bare terminator
+    h = CnfFormula(1)
+    h.add_clauses([[1], []])
+    assert write_dimacs(h) == "p cnf 1 2\n1 0\n0\n"
+
+
+def reference_dimacs(num_vars, clauses):
+    lines = [f"p cnf {num_vars} {len(clauses)}"]
+    lines += [" ".join(map(str, clause + [0])) for clause in clauses]
+    return "\n".join(lines) + "\n"
+
+
+def test_write_dimacs_matches_a_reference_serialization():
+    rng = random.Random(7)
+    for num_vars in (1, 2, 9, 10, 11, 99, 100, 1000):
+        extremes = [1, -1, num_vars, -num_vars]
+        clauses = []
+        for _ in range(rng.randrange(1, 40)):
+            size = rng.randrange(0, 6)
+            clauses.append([rng.choice(extremes) if rng.random() < 0.3 else
+                            rng.choice((1, -1)) * rng.randint(1, num_vars) for _ in range(size)])
+        f = CnfFormula(num_vars)
+        for start in range(0, len(clauses), 7):
+            f.add_clauses(clauses[start : start + 7])
+        assert write_dimacs(f) == reference_dimacs(num_vars, clauses)
+        assert [list(c) for c in f.clauses] == clauses
 
 
 # --- solver output parsing -------------------------------------------------------

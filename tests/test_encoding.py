@@ -7,12 +7,14 @@ an implementation that never touches CNF.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import random
 
 import pytest
 
-from gssynth.cnf import CnfFormula, SolveStatus, clause_satisfied
+from gssynth.cnf import CnfFormula, SolveStatus, clause_satisfied, write_dimacs
+from gssynth.driver import completeness_threshold
 from gssynth.encoding import (
     KIND_CODE,
     StepLayout,
@@ -26,6 +28,7 @@ from gssynth.encoding import (
     encode_transition,
     selector_bits,
 )
+from gssynth.generators import erdos_renyi, ghz_target, random_D
 from gssynth.graphs import (
     EF,
     ID,
@@ -410,6 +413,17 @@ def test_bmc_variable_ids_stay_in_range():
         assert formula.num_vars == layout.total_vars
         peak = max(abs(lit) for clause in formula.clauses for lit in clause)
         assert peak <= layout.total_vars
+
+
+def test_bmc_dimacs_bytes_are_pinned():
+    """The formulas' DIMACS text, byte for byte, at threshold + 1 for n = 5..8."""
+    digest = hashlib.sha256()
+    for n in range(5, 9):
+        designated = random_D(n, 2, 1) if n % 2 else ()
+        inst = SynthesisInstance(erdos_renyi(n, 0.8, 0), ghz_target(n, range(4)), designated)
+        top = completeness_threshold(inst).max_transitions + 1
+        digest.update(write_dimacs(encode_bmc(inst, top)[0]).encode())
+    assert digest.hexdigest() == "600009a306505a94db3b99a11958bd4fb8ab99da724dca29ee4f46a622b8995d"
 
 
 def test_bmc_agrees_with_oracle_shortest_lengths():

@@ -8,6 +8,9 @@ import random
 import pytest
 
 from gssynth.cnf import CnfFormula, SolveStatus, check_assignment
+from gssynth.driver import Verdict, synthesize
+from gssynth.encoding import SynthesisInstance
+from gssynth.graphs import Graph, star_graph
 from gssynth.solvers import (
     ExternalSolver,
     InProcessSolver,
@@ -141,6 +144,23 @@ def test_resolve_rejects_missing_binary():
 def test_external_solver_requires_a_command():
     with pytest.raises(ValueError):
         ExternalSolver([])
+
+
+def test_external_solver_keeps_exit_code_and_stderr_without_a_verdict(tmp_path):
+    script = tmp_path / "crashing-solver"
+    script.write_text("#!/bin/sh\necho 'c parsing' \necho 'bad header' >&2\necho '' >&2\nexit 3\n")
+    script.chmod(0o755)
+    f = CnfFormula(1)
+    f.add_clause([1])
+    result = ExternalSolver([str(script)]).solve(f)
+    assert result.status is SolveStatus.UNKNOWN and result.assignment is None
+    assert result.detail == "exit 3: bad header"
+    # the driver reports the detail as the reason the search stopped
+    triangle = Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)])
+    inst = SynthesisInstance(star_graph(3, 0, (1, 2)), triangle)
+    outcome = synthesize(inst, ExternalSolver([str(script)]))
+    assert outcome.verdict is Verdict.UNKNOWN
+    assert outcome.reason == "exit 3: bad header"
 
 
 # --- external solver (only when one is installed) ----------------------------------
