@@ -32,9 +32,9 @@ class CnfFormula:
 
     `literals` holds every clause back to back, each ended by 0, and clause i
     is `literals[starts[i]:starts[i + 1] - 1]`; `starts` ends with the length
-    of `literals`.  The variable range is declared up front; add_clauses
-    rejects literals outside it so encoding bugs surface at construction time
-    instead of as silently-free solver variables.
+    of `literals`.  The variable range is declared up front; add_clauses and
+    add_renumbered reject literals outside it so encoding bugs surface at
+    construction time instead of as silently-free solver variables.
     """
 
     num_vars: int = 0
@@ -74,6 +74,36 @@ class CnfFormula:
         self.literals.frombytes(struct.pack(f"{len(flat)}i", *flat))
         self.starts.fromlist(next_starts)
 
+    def add_renumbered(self, first: int, end: int, tables: Iterable[Sequence[Literal]]) -> None:
+        """Append, per table, a copy of clauses first..end-1 with each lit as table[lit].
+
+        A table is indexed by literal like `write_dimacs`' words: 2*num_vars+1
+        entries, -v landing at 2*num_vars+1-v.  Each must map 0, and only 0, to
+        0, and stay within ±num_vars; if one is bad, nothing is appended.
+        """
+        nv = self.num_vars
+        tables = tables if isinstance(tables, list) else list(tables)
+        if not 0 <= first <= end < len(self.starts):
+            raise ValueError(f"clause range {first}..{end} out of range")
+        for table in tables:
+            if len(table) != 2 * nv + 1:
+                raise ValueError(f"renumbering table needs {2 * nv + 1} entries, not {len(table)}")
+            if table[0] != 0 or table.count(0) != 1:
+                raise ValueError("renumbering table must map 0, and only 0, to 0")
+            low, high = min(table), max(table)
+            if low < -nv or high > nv:
+                bad = low if low < -nv else high
+                raise ValueError(f"literal {bad} outside declared range 1..{nv}")
+        start, stop = self.starts[first], self.starts[end]
+        block = self.literals[start:stop].tolist()
+        ends = [s - start for s in self.starts[first + 1 : end + 1]]
+        for table in tables:
+            base = len(self.literals)
+            # mapping a list and packing once beats mapping into an array
+            copy = list(map(table.__getitem__, block))
+            self.literals.frombytes(struct.pack(f"{len(copy)}i", *copy))
+            self.starts.fromlist([base + s for s in ends])
+
 
 class ClauseView(Sequence):
     """The clauses of a formula, each an int memoryview into its literals.
@@ -102,6 +132,10 @@ class ClauseView(Sequence):
             yield view[start : end - 1]
 
 
+# literals joined at a time by write_dimacs, so its word list stays small
+_DIMACS_SLICE = 1 << 16
+
+
 def write_dimacs(formula: CnfFormula) -> str:
     """Serialize to DIMACS CNF.  Deterministic: same formula, same bytes."""
     nv = formula.num_vars
@@ -109,8 +143,11 @@ def write_dimacs(formula: CnfFormula) -> str:
     words = ["0\n"]
     words += [f"{v} " for v in range(1, nv + 1)]
     words += [f"-{v} " for v in range(nv, 0, -1)]
-    header = f"p cnf {nv} {len(formula.clauses)}\n"
-    return header + "".join(map(words.__getitem__, formula.literals))
+    literals = formula.literals
+    parts = [f"p cnf {nv} {len(formula.clauses)}\n"]
+    for start in range(0, len(literals), _DIMACS_SLICE):
+        parts.append("".join(map(words.__getitem__, literals[start : start + _DIMACS_SLICE])))
+    return "".join(parts)
 
 
 _ANSI_ESCAPE = re.compile(r"\x1b\[[0-9;]*[A-Za-z]")

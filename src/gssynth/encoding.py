@@ -28,6 +28,13 @@ all transitions, and unit clauses pinning the last state to the target.  With
 the identity available, satisfiability is monotone in the number of states, so
 the formula is satisfiable iff the target is reachable in at most
 num_states - 1 operations.
+
+Every transition carries the same relation over its own variables, so
+`encode_bmc` builds only transition 0 with `encode_transition` and appends
+each later transition t as a renumbered copy of transition 0's literals: edge
+variables move t*P on, selector variables t selector blocks on
+(`CnfFormula.add_renumbered`, one table lookup per literal).  The clauses are
+exactly those `encode_transition(inst, t, layout)` would build.
 """
 
 from __future__ import annotations
@@ -112,12 +119,6 @@ class StepLayout:
     @property
     def total_vars(self) -> int:
         return self.num_states * self.pairs_per_state + self.num_transitions * self.selector_block
-
-    def edge_var(self, step: int, u: int, v: int) -> int:
-        if not 0 <= step < self.num_states:
-            raise ValueError(f"step {step} out of range")
-        u, v = normalize_edge(u, v)
-        return 1 + step * self.pairs_per_state + pair_index(self.n, u, v)
 
     def state_vars(self, step: int) -> List[int]:
         """Edge variables of one state, in lexicographic pair order."""
@@ -273,10 +274,37 @@ def encode_bmc(inst: SynthesisInstance, num_states: int) -> Tuple[CnfFormula, St
     layout = StepLayout(inst.n, num_states, len(inst.designated))
     formula = CnfFormula(layout.total_vars)
     formula.add_clauses(encode_graph_constraint(inst.source, 0, layout))
-    for t in range(layout.num_transitions):
-        formula.add_clauses(encode_transition(inst, t, layout))
+    if layout.num_transitions:
+        first = len(formula.clauses)
+        formula.add_clauses(encode_transition(inst, 0, layout))
+        end = len(formula.clauses)
+        formula.add_renumbered(first, end, _renumberings(layout))
     formula.add_clauses(encode_graph_constraint(inst.target, num_states - 1, layout))
     return formula, layout
+
+
+def _transition_vars(layout: StepLayout, t: int) -> List[int]:
+    """Every variable transition t's clauses use, in a fixed order."""
+    return layout.state_vars(t) + layout.state_vars(t + 1) + layout.y_vars(t) + layout.z_vars(t)
+
+
+def _renumberings(layout: StepLayout) -> List[List[int]]:
+    """Per transition t >= 1, a table moving transition 0's variables to t's.
+
+    A table is indexed by literal, -v landing at 2*total_vars+1-v; variables
+    outside transition 0 map to themselves.
+    """
+    nv = layout.total_vars
+    identity = list(range(nv + 1)) + list(range(-nv, 0))
+    first = _transition_vars(layout, 0)
+    tables = []
+    for t in range(1, layout.num_transitions):
+        table = identity.copy()
+        for old, new in zip(first, _transition_vars(layout, t)):
+            table[old] = new
+            table[-old] = -new
+        tables.append(table)
+    return tables
 
 
 class TransitionBound(NamedTuple):

@@ -85,18 +85,13 @@ def _transition_models(designated: Tuple[Tuple[int, int], ...]) -> Set[Tuple[int
     inst = SynthesisInstance(Graph(3), Graph(3), designated)
     layout = StepLayout(3, 2, len(designated))
     clauses = encode_transition(inst, 0, layout)
-    pair_list = pairs(3)
     models: Set[Tuple[int, int, int, int]] = set()
     for values in product((False, True), repeat=layout.total_vars):
         assignment: Dict[int, bool] = {i + 1: v for i, v in enumerate(values)}
         if not all(clause_satisfied(c, assignment) for c in clauses):
             continue
-        before = sum(
-            1 << i for i, (u, v) in enumerate(pair_list) if assignment[layout.edge_var(0, u, v)]
-        )
-        after = sum(
-            1 << i for i, (u, v) in enumerate(pair_list) if assignment[layout.edge_var(1, u, v)]
-        )
+        before = sum(1 << i for i, var in enumerate(layout.state_vars(0)) if assignment[var])
+        after = sum(1 << i for i, var in enumerate(layout.state_vars(1)) if assignment[var])
         y = sum(1 << i for i, var in enumerate(layout.y_vars(0)) if assignment[var])
         z = sum(1 << i for i, var in enumerate(layout.z_vars(0)) if assignment[var])
         models.add((before, y, z, after))

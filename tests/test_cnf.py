@@ -45,6 +45,43 @@ def test_a_rejected_batch_appends_nothing():
     assert write_dimacs(f) == "p cnf 2 0\n"
 
 
+def test_add_renumbered_copies_a_clause_range():
+    f = CnfFormula(4)
+    f.add_clauses([[1], [1, -2], [], [2]])
+    # 1 -> 3, 2 -> -4, 3 -> 1, 4 -> -2; -v is at index 9 - v
+    table = [0, 3, -4, 1, -2, 2, -1, 4, -3]
+    identity = [0, 1, 2, 3, 4, -4, -3, -2, -1]
+    f.add_renumbered(1, 3, [table, identity])
+    assert [list(c) for c in f.clauses] == [[1], [1, -2], [], [2], [3, 4], [], [1, -2], []]
+    assert write_dimacs(f) == "p cnf 4 8\n1 0\n1 -2 0\n0\n2 0\n3 4 0\n0\n1 -2 0\n0\n"
+    f.add_renumbered(0, 0, [table])  # an empty range
+    f.add_renumbered(0, 4, [])  # no table
+    f.add_renumbered(4, 5, iter([identity]))  # read once
+    assert [list(c) for c in f.clauses][8:] == [[3, 4]]
+
+
+def test_a_rejected_renumbering_appends_nothing():
+    f = CnfFormula(2)
+    f.add_clauses([[1, -2], [2]])
+    literals, starts = f.literals.tolist(), f.starts.tolist()
+    bad_tables = {
+        "literal 3 ": [0, 3, 2, -2, -1],  # beyond num_vars
+        "literal -3 ": [0, 1, 2, -2, -3],
+        "only 0, to 0": [0, 1, 0, -2, -1],  # a literal to the terminator
+        "map 0": [1, 1, 2, -2, -1],  # the terminator to a literal
+        "needs 5 entries": [0, 1, 2, -1],
+    }
+    good = [0, 2, 1, -1, -2]
+    for message, table in bad_tables.items():
+        with pytest.raises(ValueError, match=message):
+            f.add_renumbered(0, 2, [good, table])  # a bad later table stops the first
+        assert f.literals.tolist() == literals and f.starts.tolist() == starts
+    for first, end in ((1, 3), (2, 1), (-1, 1)):
+        with pytest.raises(ValueError, match="clause range"):
+            f.add_renumbered(first, end, [good])
+        assert f.literals.tolist() == literals and f.starts.tolist() == starts
+
+
 def test_clause_view_reads_and_writes_through():
     f = CnfFormula(3)
     f.add_clauses([[1, -2], [], [3, -1, 2]])

@@ -38,7 +38,9 @@ from gssynth.graphs import (
     Operation,
     all_graphs,
     apply_operation,
+    normalize_edge,
     pair_count,
+    pair_index,
     pairs,
     star_graph,
 )
@@ -57,8 +59,13 @@ def satisfies(clauses, assignment) -> bool:
     return all(clause_satisfied(clause, assignment) for clause in clauses)
 
 
+def edge_var(layout: StepLayout, step: int, u: int, v: int) -> int:
+    """Variable of the pair (u, v) in one state."""
+    return layout.state_vars(step)[pair_index(layout.n, *normalize_edge(u, v))]
+
+
 def graph_assignment(g: Graph, step: int, layout: StepLayout) -> dict:
-    return {layout.edge_var(step, u, v): g.has_edge(u, v) for u, v in pairs(g.n)}
+    return {edge_var(layout, step, u, v): g.has_edge(u, v) for u, v in pairs(g.n)}
 
 
 def register_assignment(variables, value: int) -> dict:
@@ -86,9 +93,9 @@ def test_layout_numbering_n4_d2():
     assert layout.sel_bits == 3
     assert layout.selector_block == 5
     assert layout.total_vars == 17  # 12 edge vars + m + 2
-    assert layout.edge_var(0, 0, 1) == 1
-    assert layout.edge_var(0, 2, 3) == 6
-    assert layout.edge_var(1, 1, 0) == 7  # order of endpoints does not matter
+    assert edge_var(layout, 0, 0, 1) == 1
+    assert edge_var(layout, 0, 2, 3) == 6
+    assert edge_var(layout, 1, 1, 0) == 7  # order of endpoints does not matter
     assert layout.state_vars(1) == [7, 8, 9, 10, 11, 12]
     assert layout.y_vars(0) == [13, 14, 15]
     assert layout.z_vars(0) == [16, 17]
@@ -99,7 +106,7 @@ def test_layout_blocks_are_disjoint_and_cover_the_range():
     used = set()
     for step in range(layout.num_states):
         for u, v in pairs(5):
-            used.add(layout.edge_var(step, u, v))
+            used.add(edge_var(layout, step, u, v))
     for t in range(layout.num_transitions):
         used.update(layout.y_vars(t))
         used.update(layout.z_vars(t))
@@ -109,11 +116,13 @@ def test_layout_blocks_are_disjoint_and_cover_the_range():
 def test_layout_rejects_bad_indices():
     layout = StepLayout(4, 2)
     with pytest.raises(ValueError):
-        layout.edge_var(2, 0, 1)
-    with pytest.raises(ValueError):
         layout.state_vars(2)
     with pytest.raises(ValueError):
+        layout.state_vars(-1)
+    with pytest.raises(ValueError):
         layout.y_vars(1)
+    with pytest.raises(ValueError):
+        layout.z_vars(-1)
     with pytest.raises(ValueError):
         StepLayout(4, 0)
 
@@ -263,10 +272,10 @@ def test_lc_clause_count_and_forcing():
     clauses = encode_operation(Operation(LC, 2), N3, 0, layout)
     assert len(clauses) == 10
     # x02 = x12 = true with x01 = false must force x'01 = true
-    x01 = layout.edge_var(0, 0, 1)
-    x02 = layout.edge_var(0, 0, 2)
-    x12 = layout.edge_var(0, 1, 2)
-    post01 = layout.edge_var(1, 0, 1)
+    x01 = edge_var(layout, 0, 0, 1)
+    x02 = edge_var(layout, 0, 0, 2)
+    x12 = edge_var(layout, 0, 1, 2)
+    post01 = edge_var(layout, 1, 0, 1)
     free = [v for v in range(1, 7) if v not in (x01, x02, x12)]
     for rest in assignments_over(free):
         assignment = {**rest, x01: False, x02: True, x12: True}
@@ -381,6 +390,35 @@ def test_later_transitions_renumber_transition_zero():
             return var if lit > 0 else -var
 
         assert encode_transition(inst, t, layout) == [[moved(lit) for lit in c] for c in first]
+
+
+def reference_bmc_clauses(inst: SynthesisInstance, num_states: int):
+    """The whole formula with every transition built by encode_transition."""
+    layout = StepLayout(inst.n, num_states, len(inst.designated))
+    clauses = encode_graph_constraint(inst.source, 0, layout)
+    for t in range(layout.num_transitions):
+        clauses += encode_transition(inst, t, layout)
+    return clauses + encode_graph_constraint(inst.target, num_states - 1, layout)
+
+
+@pytest.mark.parametrize(
+    "n, sizes, state_counts",
+    # n = 1 has no pairs and n = 2 one; n = 16 has 5-bit selectors
+    [(n, {0, 1, n * (n - 1) // 4}, range(1, 5)) for n in range(1, 7)] + [(16, {2}, (3,))],
+    ids=lambda value: str(value) if isinstance(value, int) else None,
+)
+def test_bmc_matches_the_transition_by_transition_reference(n, sizes, state_counts):
+    # encode_bmc builds only transition 0 and renumbers it for the others
+    rng = random.Random(n)
+    for size in sorted(size for size in sizes if size <= pair_count(n)):
+        source = Graph(n, rng.getrandbits(pair_count(n)))
+        target = Graph(n, rng.getrandbits(pair_count(n)))
+        inst = SynthesisInstance(source, target, random_D(n, size, n + size))
+        for num_states in state_counts:
+            formula, layout = encode_bmc(inst, num_states)
+            assert formula.num_vars == layout.total_vars
+            expected = reference_bmc_clauses(inst, num_states)
+            assert [list(c) for c in formula.clauses] == expected, (size, num_states)
 
 
 # --- whole formula ------------------------------------------------------------------
