@@ -177,11 +177,11 @@ def cmd_encode(args: argparse.Namespace) -> int:
 
 
 def _print_outcome(inst: SynthesisInstance, outcome: SynthesisOutcome) -> None:
-    print("states  vars  clauses  status   seconds")
+    print("states  vars  clauses  status   seconds  conflicts  decisions")
     for probe in outcome.probes:
         print(
             f"{probe.num_states:<7} {probe.num_vars:<5} {probe.num_clauses:<8} "
-            f"{probe.status.value:<8} {probe.seconds:.3f}"
+            f"{probe.status.value:<8} {probe.seconds:<8.3f} {probe.conflicts:<10} {probe.decisions}"
         )
     print(f"verdict {outcome.verdict.value}")
     if outcome.reason:

@@ -1,4 +1,5 @@
-"""CNF formulas, DIMACS serialization, and SAT solver output parsing.
+"""CNF formulas, the queries a solver answers, DIMACS serialization, and SAT
+solver output parsing.
 
 Variables are positive integers 1..num_vars; a literal is a nonzero signed
 integer.  An assignment maps every variable index to a boolean.
@@ -13,7 +14,7 @@ from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import pairwise
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 Literal = int
 Clause = List[Literal]
@@ -132,22 +133,70 @@ class ClauseView(Sequence):
             yield view[start : end - 1]
 
 
-# literals joined at a time by write_dimacs, so its word list stays small
+class QueryBase:
+    """A formula that a run of queries shares.
+
+    `search` is a slot in which a backend may keep its search between queries
+    on this formula (the builtin keeps its learned clauses there).  The search
+    lives as long as the base, so whoever makes the base decides its lifetime.
+    """
+
+    def __init__(self, formula: CnfFormula) -> None:
+        self.formula = formula
+        self.search: object = None
+
+
+class Query:
+    """The formula of `base` under assumptions: SAT iff both hold.
+
+    Assumptions bind only this query; a clause learned under them still
+    follows from the formula alone.
+    """
+
+    def __init__(self, base: QueryBase, assumptions: Tuple[Literal, ...] = ()) -> None:
+        nv = base.formula.num_vars
+        for lit in assumptions:
+            if lit == 0 or not -nv <= lit <= nv:
+                raise ValueError(f"assumption {lit} outside declared range 1..{nv}")
+        self.base = base
+        self.assumptions = assumptions
+
+    @property
+    def formula(self) -> CnfFormula:
+        return self.base.formula
+
+
+def as_query(problem: Union[CnfFormula, Query]) -> Query:
+    """A bare formula is a query without assumptions on a base of its own."""
+    return problem if isinstance(problem, Query) else Query(QueryBase(problem))
+
+
+# literals joined at a time by dimacs_slices, so its word list stays small
 _DIMACS_SLICE = 1 << 16
 
 
-def write_dimacs(formula: CnfFormula) -> str:
-    """Serialize to DIMACS CNF.  Deterministic: same formula, same bytes."""
+def dimacs_slices(formula: CnfFormula, units: Sequence[Literal] = ()) -> Iterator[str]:
+    """DIMACS CNF of the formula plus one unit clause per literal of `units`.
+
+    The text comes in slices (the header, then 65,536 literals at a time), so
+    a caller can write it out without ever holding all of it.
+    """
     nv = formula.num_vars
     # indexed by literal: -v lands at 2*nv+1-v, and the terminator 0 at 0
     words = ["0\n"]
     words += [f"{v} " for v in range(1, nv + 1)]
     words += [f"-{v} " for v in range(nv, 0, -1)]
     literals = formula.literals
-    parts = [f"p cnf {nv} {len(formula.clauses)}\n"]
+    yield f"p cnf {nv} {len(formula.clauses) + len(units)}\n"
     for start in range(0, len(literals), _DIMACS_SLICE):
-        parts.append("".join(map(words.__getitem__, literals[start : start + _DIMACS_SLICE])))
-    return "".join(parts)
+        yield "".join(map(words.__getitem__, literals[start : start + _DIMACS_SLICE]))
+    for lit in units:
+        yield f"{lit} 0\n"
+
+
+def write_dimacs(formula: CnfFormula) -> str:
+    """Serialize to DIMACS CNF.  Deterministic: same formula, same bytes."""
+    return "".join(dimacs_slices(formula))
 
 
 _ANSI_ESCAPE = re.compile(r"\x1b\[[0-9;]*[A-Za-z]")

@@ -24,10 +24,10 @@ import time
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from .cnf import SolveStatus
+from .cnf import Query, QueryBase, SolveStatus
 from .encoding import SynthesisInstance, encode_bmc
 from .graphs import isolated_vertices
-from .solvers import SolverBackend
+from .solvers import SolveResult, SolverBackend
 from .witness import Witness, decode, replay_verify
 
 
@@ -80,13 +80,19 @@ def trivially_unreachable(inst: SynthesisInstance) -> Optional[int]:
 
 @dataclass(frozen=True)
 class DepthProbe:
-    """One solver call during the search."""
+    """One solver call during the search.
+
+    Every probe queries the top depth's formula, so num_vars and num_clauses
+    are the same in each probe of one search.
+    """
 
     num_states: int
     status: SolveStatus
     seconds: float
     num_vars: int
     num_clauses: int
+    conflicts: int  # the builtin's counters; 0 from an external solver
+    decisions: int
 
 
 @dataclass(frozen=True)
@@ -128,11 +134,16 @@ def synthesize(
     Satisfiability is monotone in the number of states (identity steps pad),
     so the search first probes the top depth cap + 1, whose UNSAT answer alone
     already covers every sequence of at most cap operations, then bisects
-    [1, cap] for the smallest satisfiable depth.  Each probe runs a fresh
-    solver.  A probe the solver cannot settle within its time slice is skipped
-    upward (toward slacker, easier-to-satisfy depths); any skip forfeits the
-    minimality claim but never the soundness of the verdict, since verdicts
-    rest only on settled probes.
+    [1, cap] for the smallest satisfiable depth.  Only the top depth is
+    encoded: a probe at s states is the same formula under assumptions that
+    make transitions s-1 and later identities, so the target pins state s-1,
+    and one solver query base serves every probe, letting the builtin keep
+    what it learned.  Every model is decoded and replayed at once, and the
+    next depths probed lie below the witness's length.  A probe the solver
+    cannot settle within its time slice is skipped upward (toward slacker,
+    easier-to-satisfy depths); any skip forfeits the minimality claim but
+    never the soundness of the verdict, since verdicts rest only on settled
+    probes.
     """
     threshold = completeness_threshold(inst)
     if inst.designated:
@@ -158,32 +169,49 @@ def synthesize(
         else None
     )
     probes: List[DepthProbe] = []
+    top = cap + 1
 
-    def probe(num_states: int):
-        # a spent budget stops before encoding, which costs seconds at paper scale
-        if deadline is not None and time.monotonic() >= deadline:
-            raise _BudgetExhausted
-        formula, layout = encode_bmc(inst, num_states)
+    def probe(num_states: int) -> tuple[SolveResult, Optional[Witness]]:
         budget = limits.solve_seconds
         if deadline is not None:
             remaining = deadline - time.monotonic()
             if remaining <= 0:
                 raise _BudgetExhausted
             budget = remaining if budget is None else min(budget, remaining)
-        result = backend.solve(formula, timeout=budget)
+        # z = 3, both kind bits true, makes a step the identity; with every
+        # step from num_states - 1 on one, the target pins that state
+        identities = range(num_states - 1, top - 1)
+        query = Query(base, tuple(var for t in identities for var in layout.z_vars(t)))
+        result = backend.solve(query, timeout=budget)
         probes.append(
             DepthProbe(
-                num_states, result.status, result.seconds, formula.num_vars, len(formula.clauses)
+                num_states,
+                result.status,
+                result.seconds,
+                formula.num_vars,
+                len(formula.clauses),
+                result.conflicts,
+                result.decisions,
             )
         )
-        return result, layout
+        if result.status is not SolveStatus.SAT:
+            return result, None
+        witness = decode(result.assignment, layout)
+        report = replay_verify(inst, witness)
+        if not report.ok:
+            raise EncodingSoundnessError(report.message)
+        return result, witness
 
-    best: Optional[tuple] = None  # (num_states, assignment, layout)
+    best: Optional[tuple] = None  # (num_states, witness)
     exact = True
     truncated = ""
     try:
-        top = cap + 1
-        result, layout = probe(top)
+        # a spent budget stops before encoding, which costs seconds at paper scale
+        if deadline is not None and time.monotonic() >= deadline:
+            raise _BudgetExhausted
+        formula, layout = encode_bmc(inst, top)
+        base = QueryBase(formula)
+        result, witness = probe(top)
         if result.status is SolveStatus.UNSAT:
             if sound:
                 return SynthesisOutcome(
@@ -200,7 +228,7 @@ def synthesize(
                 probes,
                 f"unsatisfiable up to {cap} operations, which proves nothing here",
             )
-        if result.status is not SolveStatus.SAT:
+        if witness is None:
             return SynthesisOutcome(
                 Verdict.UNKNOWN,
                 None,
@@ -208,14 +236,15 @@ def synthesize(
                 probes,
                 result.detail or "solver gave up at the top depth",
             )
-        best = (top, result.assignment, layout)
-        lo, hi = 1, top - 1
+        best = (top, witness)
+        # a witness of k operations settles every depth above k states
+        lo, hi = 1, len(witness.operations)
         while lo <= hi:
             mid = (lo + hi) // 2
-            result, layout = probe(mid)
-            if result.status is SolveStatus.SAT:
-                best = (mid, result.assignment, layout)
-                hi = mid - 1
+            result, witness = probe(mid)
+            if witness is not None:
+                best = (mid, witness)
+                hi = len(witness.operations)
             elif result.status is SolveStatus.UNSAT:
                 lo = mid + 1
             else:
@@ -226,11 +255,7 @@ def synthesize(
         exact = False
     if best is None:
         return SynthesisOutcome(Verdict.UNKNOWN, None, threshold, probes, truncated)
-    num_states, assignment, layout = best
-    witness = decode(assignment, layout)
-    report = replay_verify(inst, witness)
-    if not report.ok:
-        raise EncodingSoundnessError(report.message)
+    num_states, witness = best
     reason = f"model at {num_states} states"
     if not exact:
         reason += "; minimality not established"

@@ -7,8 +7,9 @@ Two interchangeable backends solve CnfFormula instances:
 * InProcessSolver is a self-contained CDCL solver, useful where no solver
   binary is installed.
 
-Both return a SolveResult with the same semantics, so callers never depend on
-which backend ran.
+Both take a formula, or a Query (a formula under assumption literals), and
+return a SolveResult with the same semantics, so callers never depend on which
+backend ran.
 """
 
 from __future__ import annotations
@@ -21,9 +22,18 @@ import tempfile
 import time
 from dataclasses import dataclass
 from itertools import pairwise
-from typing import List, Optional, Protocol, Sequence
+from typing import List, Optional, Protocol, Sequence, Tuple, Union
 
-from .cnf import Assignment, CnfFormula, SolveStatus, parse_model, write_dimacs
+from .cnf import (
+    Assignment,
+    CnfFormula,
+    Literal,
+    Query,
+    SolveStatus,
+    as_query,
+    dimacs_slices,
+    parse_model,
+)
 
 SOLVER_ENV_VAR = "GSSYNTH_SOLVER"
 
@@ -34,12 +44,16 @@ class SolveResult:
     assignment: Optional[Assignment]
     seconds: float
     detail: str = ""
+    conflicts: int = 0  # counted by the builtin only
+    decisions: int = 0  # free decisions, assumptions not counted; builtin only
 
 
 class SolverBackend(Protocol):
     name: str
 
-    def solve(self, formula: CnfFormula, timeout: Optional[float] = None) -> SolveResult:
+    def solve(
+        self, formula: Union[CnfFormula, Query], timeout: Optional[float] = None
+    ) -> SolveResult:
         ...
 
 
@@ -54,7 +68,9 @@ class ExternalSolver:
     """Run a solver binary on a DIMACS file and parse its stdout.
 
     The solver runs inside a fresh temporary directory so solvers that drop
-    answer files never pollute the caller's working directory.  Only the
+    answer files never pollute the caller's working directory.  A query's
+    assumptions are written as unit clauses after the formula, and the text
+    goes to the file slice by slice, never whole in memory.  Only the
     "s"/"v" lines are trusted; without a verdict, the exit code and the last
     line on stderr go into the result's detail.
     """
@@ -68,12 +84,15 @@ class ExternalSolver:
         self.command = [resolved, *command[1:]]
         self.name = name or os.path.basename(command[0])
 
-    def solve(self, formula: CnfFormula, timeout: Optional[float] = None) -> SolveResult:
+    def solve(
+        self, formula: Union[CnfFormula, Query], timeout: Optional[float] = None
+    ) -> SolveResult:
         start = time.monotonic()
+        query = as_query(formula)
         with tempfile.TemporaryDirectory(prefix="gssynth-") as tmp:
             path = os.path.join(tmp, "problem.cnf")
             with open(path, "w") as fh:
-                fh.write(write_dimacs(formula))
+                fh.writelines(dimacs_slices(query.formula, query.assumptions))
             try:
                 proc = subprocess.run(
                     [*self.command, path],
@@ -89,7 +108,7 @@ class ExternalSolver:
                     time.monotonic() - start,
                     detail="timeout",
                 )
-            status, assignment = parse_model(proc.stdout, formula.num_vars)
+            status, assignment = parse_model(proc.stdout, query.formula.num_vars)
         detail = ""
         if status is SolveStatus.UNKNOWN:
             # no verdict: keep what the solver said about why
@@ -147,20 +166,34 @@ class InProcessSolver:
     and the watch lists are plain lists indexed by literal (after MiniSat), so
     propagation reads a literal's value with one lookup.  Deterministic: no
     randomized heuristics, so repeated runs give identical models.
+
+    One search answers every query on a QueryBase: it is made on the first
+    query and kept in the base's slot, so learned clauses, activities and
+    saved phases carry over from one query to the next, and it is freed with
+    the base.  A query's assumptions are decided first, one per decision level
+    (as in MiniSat); an assumption found false answers UNSAT for that query
+    alone.  A bare formula gets a search of its own.
     """
 
     name = "builtin"
 
-    def solve(self, formula: CnfFormula, timeout: Optional[float] = None) -> SolveResult:
+    def solve(
+        self, formula: Union[CnfFormula, Query], timeout: Optional[float] = None
+    ) -> SolveResult:
         start = time.monotonic()
         deadline = start + timeout if timeout is not None else None
-        search = _Search(formula)
-        status, model = search.run(deadline)
+        query = as_query(formula)
+        base = query.base
+        if base.search is None:
+            base.search = _Search(base.formula)
+        status, model, conflicts, decisions = base.search.run(deadline, query.assumptions)
         return SolveResult(
             status,
             model,
             time.monotonic() - start,
-            detail="timeout" if status is SolveStatus.UNKNOWN else "",
+            "timeout" if status is SolveStatus.UNKNOWN else "",
+            conflicts,
+            decisions,
         )
 
 
@@ -196,7 +229,7 @@ class _Search:
         self.trail: List[int] = []
         self.trail_lim: List[int] = []
         self.qhead = 0
-        self.root_conflict = False
+        self.root_conflict = False  # the formula itself is UNSAT
         literals = formula.literals.tolist()
         for start, end in pairwise(formula.starts):
             self._add_clause(sorted(set(literals[start : end - 1]), key=abs))
@@ -340,10 +373,18 @@ class _Search:
                 best_act = self.activity[var]
         return best
 
-    def run(self, deadline: Optional[float]) -> tuple[SolveStatus, Optional[Assignment]]:
+    def run(
+        self, deadline: Optional[float], assumptions: Tuple[Literal, ...]
+    ) -> tuple[SolveStatus, Optional[Assignment], int, int]:
+        """Status, model, conflicts and decisions of one call.
+
+        Every call leaves the trail at level 0, so the next call starts from
+        the clauses alone, the learned ones included.
+        """
         if self.root_conflict or self._propagate() is not None:
-            return SolveStatus.UNSAT, None
-        conflicts = 0
+            self.root_conflict = True
+            return SolveStatus.UNSAT, None, 0, 0
+        conflicts = decisions = 0
         restart_count = 1
         restart_limit = RESTART_BASE * _luby(restart_count)
         conflicts_since_restart = 0
@@ -351,7 +392,8 @@ class _Search:
             conflict = self._propagate()
             if conflict is not None:
                 if not self.trail_lim:
-                    return SolveStatus.UNSAT, None
+                    self.root_conflict = True
+                    return SolveStatus.UNSAT, None, conflicts, decisions
                 conflicts += 1
                 conflicts_since_restart += 1
                 learned, back_level = self._analyze(conflict)
@@ -362,18 +404,33 @@ class _Search:
                 self.act_inc /= ACTIVITY_DECAY
                 if conflicts % 256 == 0 and deadline is not None:
                     if time.monotonic() > deadline:
-                        return SolveStatus.UNKNOWN, None
+                        self._cancel_until(0)
+                        return SolveStatus.UNKNOWN, None, conflicts, decisions
                 if conflicts_since_restart >= restart_limit:
                     restart_count += 1
                     restart_limit = RESTART_BASE * _luby(restart_count)
                     conflicts_since_restart = 0
                     self._cancel_until(0)
                 continue
+            level = len(self.trail_lim)
+            if level < len(assumptions):
+                lit = assumptions[level]
+                if self.value[lit] < 0:
+                    self._cancel_until(0)
+                    return SolveStatus.UNSAT, None, conflicts, decisions
+                # a level of its own even when already true, so that level i
+                # always holds assumption i
+                self.trail_lim.append(len(self.trail))
+                self._enqueue(lit, None)
+                continue
             var = self._pick_branch_var()
             if var == 0:
                 model = {v: self.value[v] > 0 for v in range(1, self.nv + 1)}
-                return SolveStatus.SAT, model
+                self._cancel_until(0)
+                return SolveStatus.SAT, model, conflicts, decisions
             if deadline is not None and time.monotonic() > deadline:
-                return SolveStatus.UNKNOWN, None
+                self._cancel_until(0)
+                return SolveStatus.UNKNOWN, None, conflicts, decisions
+            decisions += 1
             self.trail_lim.append(len(self.trail))
             self._enqueue(var if self.saved_phase[var] else -var, None)

@@ -124,6 +124,11 @@ def test_synth_reachable_with_witness_file(tmp_path, capsys):
     code = main(["synth", inst_path, "--witness-out", str(witness_path)])
     out = capsys.readouterr().out
     assert code == 0
+    table = out.splitlines()
+    assert table[0] == "states  vars  clauses  status   seconds  conflicts  decisions"
+    # the top probe (6 operations, 7 states) comes first; every probe has 7 columns
+    assert table[1].split()[:4] == ["7", "72", "906", "sat"]
+    assert all(len(row.split()) == 7 for row in table[1 : table.index("verdict reachable")])
     assert "verdict reachable" in out
     assert "op LC 0" in out
     assert witness_path.read_text() == "LC 0\n"

@@ -9,7 +9,10 @@ import pytest
 
 from gssynth.cnf import (
     CnfFormula,
+    Query,
+    QueryBase,
     SolveStatus,
+    as_query,
     check_assignment,
     clause_satisfied,
     parse_model,
@@ -80,6 +83,22 @@ def test_a_rejected_renumbering_appends_nothing():
         with pytest.raises(ValueError, match="clause range"):
             f.add_renumbered(first, end, [good])
         assert f.literals.tolist() == literals and f.starts.tolist() == starts
+
+
+def test_query_rejects_assumptions_outside_the_formula():
+    base = QueryBase(CnfFormula(2))
+    assert Query(base, (-2, 1)).formula is base.formula
+    for bad in (0, 3, -3):
+        with pytest.raises(ValueError):
+            Query(base, (1, bad))
+
+
+def test_a_bare_formula_is_a_query_without_assumptions():
+    f = CnfFormula(1)
+    query = as_query(f)
+    assert query.formula is f and query.assumptions == ()
+    assert as_query(query) is query
+    assert as_query(f).base is not query.base  # each gets a base of its own
 
 
 def test_clause_view_reads_and_writes_through():

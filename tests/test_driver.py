@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 
 import gssynth.driver
-from gssynth.cnf import CnfFormula, SolveStatus
+from gssynth.cnf import Query, SolveStatus
 from gssynth.driver import (
     Limits,
     Verdict,
@@ -159,6 +159,25 @@ def test_synthesize_respects_the_total_budget(monkeypatch):
     assert encodings == []  # a spent budget is noticed before encoding
 
 
+def test_synthesize_encodes_only_the_top_depth(monkeypatch):
+    encodings = []
+
+    def counting_encode_bmc(*args):
+        encodings.append(args)
+        return encode_bmc(*args)
+
+    monkeypatch.setattr(gssynth.driver, "encode_bmc", counting_encode_bmc)
+    inst = SynthesisInstance(STAR4, K4)
+    outcome = synthesize(inst, InProcessSolver())
+    assert outcome.minimal and len(outcome.witness.operations) == 1
+    assert len(outcome.probes) > 1
+    assert encodings == [(inst, 7)]  # cap 6 operations, so 7 states
+    # every probe is the top formula under its own assumptions
+    assert {(p.num_vars, p.num_clauses) for p in outcome.probes} == {
+        (StepLayout(4, 7).total_vars, len(encode_bmc(inst, 7)[0].clauses))
+    }
+
+
 def test_synthesize_reports_unknown_when_the_top_probe_times_out():
     outcome = synthesize(
         SynthesisInstance(STAR4, K4),
@@ -170,32 +189,37 @@ def test_synthesize_reports_unknown_when_the_top_probe_times_out():
 
 
 class UnknownAtDepth:
-    """Delegates to the builtin solver except at one poisoned formula size."""
+    """Delegates to the builtin solver except on one poisoned query.
+
+    Every probe queries the top formula, so a probe is told apart by its
+    assumptions, not by its formula's size.
+    """
 
     name = "stub"
 
-    def __init__(self, poisoned_vars: int) -> None:
-        self.poisoned_vars = poisoned_vars
+    def __init__(self, poisoned_assumptions: tuple) -> None:
+        self.poisoned_assumptions = poisoned_assumptions
         self.inner = InProcessSolver()
 
-    def solve(self, formula: CnfFormula, timeout=None) -> SolveResult:
-        if formula.num_vars == self.poisoned_vars:
+    def solve(self, formula: Query, timeout=None) -> SolveResult:
+        if formula.assumptions == self.poisoned_assumptions:
             return SolveResult(SolveStatus.UNKNOWN, None, 0.0, "stub timeout")
         return self.inner.solve(formula, timeout)
 
 
 def test_synthesize_skips_unsolved_depths_and_drops_the_minimality_claim():
-    # poison the two-state probe (the true minimal depth for star -> K4):
-    # the verdict must survive as Reachable, only `minimal` is forfeited
-    two_state_vars = StepLayout(4, 2).total_vars
-    outcome = synthesize(
-        SynthesisInstance(STAR4, K4), UnknownAtDepth(two_state_vars)
-    )
+    # poison the two-state probe (the true minimal depth for star -> K4): its
+    # assumptions make transitions 1..5 of the 7-state top formula identities.
+    # The verdict must survive as Reachable, only `minimal` is forfeited
+    top = StepLayout(4, 7)
+    two_states = tuple(var for t in range(1, top.num_transitions) for var in top.z_vars(t))
+    outcome = synthesize(SynthesisInstance(STAR4, K4), UnknownAtDepth(two_states))
     assert outcome.verdict is Verdict.REACHABLE
     assert not outcome.minimal
     assert "minimality not established" in outcome.reason
     assert outcome.witness is not None
     assert any(p.status is SolveStatus.UNKNOWN for p in outcome.probes)
+    assert [p.status for p in outcome.probes if p.num_states == 2] == [SolveStatus.UNKNOWN]
 
 
 def test_synthesize_agrees_with_the_oracle_on_random_instances():
@@ -222,3 +246,29 @@ def test_synthesize_agrees_with_the_oracle_on_random_instances():
             assert outcome.verdict is Verdict.UNKNOWN
         else:
             assert outcome.verdict is Verdict.UNREACHABLE
+
+
+def test_synthesize_agrees_with_the_oracle_on_every_pair_at_n3():
+    graphs = [Graph(3, bits) for bits in range(1 << pair_count(3))]
+    pair_sets = [(), ((0, 1),), ((0, 2),), ((1, 2),), ((0, 1), (1, 2))]
+    solver = InProcessSolver()
+    cases = 0
+    for designated in pair_sets:
+        # at n = 3 every shortest sequence, EF steps included, fits in 6
+        limits = Limits(max_operations=6) if designated else Limits()
+        for source in graphs:
+            for target in graphs:
+                inst = SynthesisInstance(source, target, designated)
+                oracle = reachable_bfs(inst)
+                outcome = synthesize(inst, solver, limits)
+                cases += 1
+                if oracle.reachable:
+                    assert oracle.shortest_length <= 6
+                    assert outcome.verdict is Verdict.REACHABLE, inst
+                    assert len(outcome.witness.operations) == oracle.shortest_length, inst
+                    assert outcome.minimal, inst
+                elif designated:
+                    assert outcome.verdict is Verdict.UNKNOWN, inst
+                else:
+                    assert outcome.verdict is Verdict.UNREACHABLE, inst
+    assert cases == 320

@@ -7,7 +7,14 @@ import random
 
 import pytest
 
-from gssynth.cnf import CnfFormula, SolveStatus, check_assignment
+from gssynth.cnf import (
+    CnfFormula,
+    Query,
+    QueryBase,
+    SolveStatus,
+    check_assignment,
+    write_dimacs,
+)
 from gssynth.driver import Verdict, synthesize
 from gssynth.encoding import SynthesisInstance
 from gssynth.graphs import Graph, star_graph
@@ -19,12 +26,16 @@ from gssynth.solvers import (
 )
 
 
-def brute_force_satisfiable(formula: CnfFormula) -> bool:
+def brute_force_satisfiable(formula: CnfFormula, assumptions=()) -> bool:
     for bits in itertools.product((False, True), repeat=formula.num_vars):
         assignment = {v: bits[v - 1] for v in range(1, formula.num_vars + 1)}
-        if check_assignment(formula, assignment):
+        if satisfies(assignment, assumptions) and check_assignment(formula, assignment):
             return True
     return False
+
+
+def satisfies(assignment, assumptions) -> bool:
+    return all(assignment[abs(lit)] == (lit > 0) for lit in assumptions)
 
 
 def random_formula(rng: random.Random) -> CnfFormula:
@@ -106,6 +117,70 @@ def test_builtin_is_deterministic():
         assert first.assignment == second.assignment
 
 
+def test_builtin_answers_a_sequence_of_queries_under_assumptions():
+    rng = random.Random(7)
+    solver = InProcessSolver()
+    answers = set()
+    for _ in range(60):
+        nv = rng.randint(1, 10)
+        f = CnfFormula(nv)
+        for _ in range(rng.randint(1, 4 * nv)):
+            width = rng.randint(1, 3)
+            f.add_clause(
+                rng.choice((v, -v)) for v in rng.sample(range(1, nv + 1), min(width, nv))
+            )
+        base = QueryBase(f)  # one search answers every query below
+        for _ in range(12):
+            assumptions = tuple(
+                rng.choice((v, -v)) for v in rng.choices(range(1, nv + 1), k=rng.randint(0, 4))
+            )
+            timeout = 0.0 if rng.random() < 0.1 else None
+            result = solver.solve(Query(base, assumptions), timeout)
+            if result.status is SolveStatus.UNKNOWN:
+                assert timeout == 0.0
+                continue
+            expected = brute_force_satisfiable(f, assumptions)
+            assert result.status is (SolveStatus.SAT if expected else SolveStatus.UNSAT)
+            answers.add((bool(assumptions), result.status))
+            if result.status is SolveStatus.SAT:
+                assert check_assignment(f, result.assignment)
+                assert satisfies(result.assignment, assumptions)
+    # both answers, with and without assumptions, were exercised
+    assert len(answers) == 4
+
+
+def test_a_failed_assumption_binds_only_its_query():
+    solver = InProcessSolver()
+    f = CnfFormula(3)
+    f.add_clauses([[-1], [2, 3], [-2, 3]])  # 1 false at level 0, 3 forced true
+    base = QueryBase(f)
+    for assumptions in ((1,), (-3,), (2, -2), (2, 3, -3)):
+        assert solver.solve(Query(base, assumptions)).status is SolveStatus.UNSAT
+        result = solver.solve(Query(base, ()))
+        assert result.status is SolveStatus.SAT
+        assert check_assignment(f, result.assignment)
+    result = solver.solve(Query(base, (-2,)))
+    assert result.status is SolveStatus.SAT and result.assignment[2] is False
+
+
+def test_a_formula_unsat_at_level_0_stays_unsat():
+    # three pigeons, two holes: UNSAT, but only after search
+    f = CnfFormula(6)
+    hole = {(p, h): 2 * p + h + 1 for p in range(3) for h in range(2)}
+    f.add_clauses([[hole[p, 0], hole[p, 1]] for p in range(3)])
+    f.add_clauses(
+        [-hole[p, h], -hole[q, h]] for h in range(2) for p in range(3) for q in range(p + 1, 3)
+    )
+    solver = InProcessSolver()
+    base = QueryBase(f)
+    proof = solver.solve(Query(base, ()))
+    assert proof.status is SolveStatus.UNSAT and proof.conflicts > 0
+    for assumptions in ((), (1,), (-1, -3)):
+        again = solver.solve(Query(base, assumptions))
+        assert again.status is SolveStatus.UNSAT
+        assert (again.conflicts, again.decisions) == (0, 0)  # answered at once
+
+
 def test_builtin_zero_timeout_reports_unknown():
     f = CnfFormula(2)
     f.add_clause([1, 2])  # needs a decision, so the deadline check is reached
@@ -155,12 +230,29 @@ def test_external_solver_keeps_exit_code_and_stderr_without_a_verdict(tmp_path):
     result = ExternalSolver([str(script)]).solve(f)
     assert result.status is SolveStatus.UNKNOWN and result.assignment is None
     assert result.detail == "exit 3: bad header"
+    assert (result.conflicts, result.decisions) == (0, 0)
     # the driver reports the detail as the reason the search stopped
     triangle = Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)])
     inst = SynthesisInstance(star_graph(3, 0, (1, 2)), triangle)
     outcome = synthesize(inst, ExternalSolver([str(script)]))
     assert outcome.verdict is Verdict.UNKNOWN
     assert outcome.reason == "exit 3: bad header"
+
+
+def test_external_solver_writes_assumptions_as_unit_clauses(tmp_path):
+    seen = tmp_path / "seen.cnf"
+    script = tmp_path / "copying-solver"
+    script.write_text(f"#!/bin/sh\ncp \"$1\" '{seen}'\necho 's UNSATISFIABLE'\n")
+    script.chmod(0o755)
+    f = CnfFormula(3)
+    f.add_clauses([[1, -2], [], [3]])
+    result = ExternalSolver([str(script)]).solve(Query(QueryBase(f), (-1, 2)))
+    assert result.status is SolveStatus.UNSAT
+    with_units = CnfFormula(3)
+    with_units.add_clauses([[1, -2], [], [3], [-1], [2]])
+    assert seen.read_text() == write_dimacs(with_units)
+    ExternalSolver([str(script)]).solve(f)  # a bare formula has no units
+    assert seen.read_text() == write_dimacs(f)
 
 
 # --- external solver (only when one is installed) ----------------------------------
