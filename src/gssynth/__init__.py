@@ -20,7 +20,6 @@ from .driver import (
 )
 from .encoding import (
     StepLayout,
-    SynthesisInstance,
     TransitionBound,
     clause_bound,
     encode_bmc,
@@ -41,6 +40,7 @@ from .generators import (
 from .graphs import (
     Graph,
     Operation,
+    SynthesisInstance,
     apply_operation,
     delete_vertex_edges,
     flip_edge,

@@ -21,10 +21,10 @@ import csv
 import io
 import sys
 from multiprocessing import Pool
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .driver import Limits, SynthesisOutcome, Verdict, completeness_threshold, synthesize
-from .encoding import SynthesisInstance, encode_bmc, layout_to_text
+from .encoding import encode_bmc, layout_to_text
 from .generators import (
     builtin_network_14,
     erdos_renyi,
@@ -35,7 +35,8 @@ from .generators import (
     secret_sharing_demo,
     write_instance,
 )
-from .cnf import write_dimacs
+from .cnf import dimacs_slices
+from .graphs import SynthesisInstance
 from .oracle import StateCapExceeded, DEFAULT_STATE_CAP, reachable_bfs
 from .solvers import SOLVER_ENV_VAR, SolverBackend, SolverNotFoundError, resolve_backend
 from .witness import operations_from_text, witness_from_operations, witness_to_text
@@ -62,13 +63,15 @@ def _read_instance_file(path: str) -> Tuple[SynthesisInstance, Dict[str, str]]:
         raise SystemExit(f"gssynth: bad instance file {path}: {exc}") from exc
 
 
-def _write_output(text: str, path: Optional[str]) -> None:
+def _write_output(text: Union[str, Iterable[str]], path: Optional[str]) -> None:
+    """Write a string, or an iterable of strings one after another."""
+    chunks = [text] if isinstance(text, str) else text
     if path is None or path == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
         try:
             with open(path, "w") as fh:
-                fh.write(text)
+                fh.writelines(chunks)
         except OSError as exc:
             raise SystemExit(f"gssynth: cannot write {path}: {exc.strerror}") from exc
 
@@ -93,7 +96,7 @@ def _limits(args: argparse.Namespace) -> Limits:
         ("--budget", args.budget),
         ("--max-ops", args.max_ops),
     ):
-        if value is not None and value < 0:
+        if value is not None and not value >= 0:  # NaN fails this too
             raise SystemExit(f"gssynth: {option} must be at least 0")
     return Limits(
         solve_seconds=args.solve_timeout,
@@ -166,7 +169,8 @@ def cmd_encode(args: argparse.Namespace) -> int:
     if args.states < 1:
         raise SystemExit("gssynth: --states must be at least 1")
     formula, layout = encode_bmc(inst, args.states)
-    _write_output(write_dimacs(formula), args.out_prefix + ".cnf")
+    # slice by slice, so the whole text is never held in memory
+    _write_output(dimacs_slices(formula), args.out_prefix + ".cnf")
     _write_output(layout_to_text(layout), args.out_prefix + ".layout")
     print(f"wrote {args.out_prefix}.cnf ({formula.num_vars} vars, "
           f"{len(formula.clauses)} clauses) and {args.out_prefix}.layout")

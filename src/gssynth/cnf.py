@@ -13,7 +13,7 @@ import struct
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import pairwise
+from itertools import chain, pairwise
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 Literal = int
@@ -238,6 +238,20 @@ def clause_satisfied(clause: Clause, assignment: Assignment) -> bool:
     return any(assignment.get(abs(lit), False) == (lit > 0) for lit in clause)
 
 
+def falsified_clause(
+    formula: CnfFormula, assignment: Assignment, units: Sequence[Literal] = ()
+) -> Optional[Clause]:
+    """The first clause the assignment falsifies, or None.
+
+    `units` count as unit clauses after the formula's, as `dimacs_slices`
+    writes them.
+    """
+    for clause in chain(formula.clauses, ([lit] for lit in units)):
+        if not clause_satisfied(clause, assignment):
+            return list(clause)
+    return None
+
+
 def check_assignment(formula: CnfFormula, assignment: Assignment) -> bool:
     """True iff the assignment satisfies every clause."""
-    return all(clause_satisfied(clause, assignment) for clause in formula.clauses)
+    return falsified_clause(formula, assignment) is None

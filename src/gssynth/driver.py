@@ -22,12 +22,12 @@ from __future__ import annotations
 import enum
 import time
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from .cnf import Query, QueryBase, SolveStatus
-from .encoding import SynthesisInstance, encode_bmc
-from .graphs import isolated_vertices
-from .solvers import SolveResult, SolverBackend
+from .encoding import encode_bmc
+from .graphs import SynthesisInstance, isolated_vertices
+from .solvers import SolverBackend
 from .witness import Witness, decode, replay_verify
 
 
@@ -115,14 +115,6 @@ class SynthesisOutcome:
     def solver_seconds(self) -> float:
         return sum(p.seconds for p in self.probes)
 
-    @property
-    def depth_explored(self) -> int:
-        return max((p.num_states for p in self.probes), default=0)
-
-
-class _BudgetExhausted(Exception):
-    pass
-
 
 def synthesize(
     inst: SynthesisInstance,
@@ -132,135 +124,85 @@ def synthesize(
     """Decide reachability by binary search over the unrolling depth.
 
     Satisfiability is monotone in the number of states (identity steps pad),
-    so the search first probes the top depth cap + 1, whose UNSAT answer alone
-    already covers every sequence of at most cap operations, then bisects
-    [1, cap] for the smallest satisfiable depth.  Only the top depth is
-    encoded: a probe at s states is the same formula under assumptions that
-    make transitions s-1 and later identities, so the target pins state s-1,
-    and one solver query base serves every probe, letting the builtin keep
-    what it learned.  Every model is decoded and replayed at once, and the
-    next depths probed lie below the witness's length.  A probe the solver
-    cannot settle within its time slice is skipped upward (toward slacker,
-    easier-to-satisfy depths); any skip forfeits the minimality claim but
-    never the soundness of the verdict, since verdicts rest only on settled
-    probes.
+    so one bisection over [1, cap + 1] states finds the smallest satisfiable
+    depth.  Its first probe is the top depth, cap + 1, whose UNSAT answer
+    alone covers every sequence of at most cap operations.  Only the top
+    depth is encoded: a probe at s states is the same formula under the
+    layout's `probe_assumptions(s)`, and one solver query base serves every
+    probe, letting the builtin keep what it learned.  Every model is decoded
+    and replayed at once, and the next depths probed lie below the witness's
+    length.  A probe the solver cannot settle within its time slice is
+    skipped upward (toward slacker, easier-to-satisfy depths).  The verdict is
+    read after the search from the shortest replayed witness, whether every
+    probe without a model was UNSAT, whether the budget ran out, and whether
+    the cap is a completeness threshold; a skip forfeits the minimality claim
+    but never the soundness of the verdict.
     """
     threshold = completeness_threshold(inst)
-    if inst.designated:
-        sound = False
-        cap = limits.max_operations if limits.max_operations is not None else threshold.max_transitions
-    else:
-        vertex = trivially_unreachable(inst)
-        if vertex is not None:
-            return SynthesisOutcome(
-                Verdict.UNREACHABLE,
-                None,
-                threshold,
-                reason=f"vertex {vertex} is isolated in the source but not in the target",
-            )
-        cap = threshold.max_transitions
-        sound = True
-        if limits.max_operations is not None and limits.max_operations < cap:
-            cap = limits.max_operations
-            sound = False  # a shallower search proves nothing on UNSAT
-    deadline = (
-        time.monotonic() + limits.total_seconds
-        if limits.total_seconds is not None
-        else None
-    )
-    probes: List[DepthProbe] = []
-    top = cap + 1
-
-    def probe(num_states: int) -> tuple[SolveResult, Optional[Witness]]:
-        budget = limits.solve_seconds
-        if deadline is not None:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise _BudgetExhausted
-            budget = remaining if budget is None else min(budget, remaining)
-        # z = 3, both kind bits true, makes a step the identity; with every
-        # step from num_states - 1 on one, the target pins that state
-        identities = range(num_states - 1, top - 1)
-        query = Query(base, tuple(var for t in identities for var in layout.z_vars(t)))
-        result = backend.solve(query, timeout=budget)
-        probes.append(
-            DepthProbe(
-                num_states,
-                result.status,
-                result.seconds,
-                formula.num_vars,
-                len(formula.clauses),
-                result.conflicts,
-                result.decisions,
-            )
+    if threshold.sound and (vertex := trivially_unreachable(inst)) is not None:
+        return SynthesisOutcome(
+            Verdict.UNREACHABLE,
+            None,
+            threshold,
+            reason=f"vertex {vertex} is isolated in the source but not in the target",
         )
-        if result.status is not SolveStatus.SAT:
-            return result, None
-        witness = decode(result.assignment, layout)
-        report = replay_verify(inst, witness)
-        if not report.ok:
-            raise EncodingSoundnessError(report.message)
-        return result, witness
-
-    best: Optional[tuple] = None  # (num_states, witness)
-    exact = True
-    truncated = ""
-    try:
-        # a spent budget stops before encoding, which costs seconds at paper scale
-        if deadline is not None and time.monotonic() >= deadline:
-            raise _BudgetExhausted
+    cap = threshold.max_transitions
+    if limits.max_operations is not None:
+        # a deeper search than a sound threshold adds nothing
+        cap = min(cap, limits.max_operations) if threshold.sound else limits.max_operations
+    sound = threshold.sound and cap == threshold.max_transitions
+    deadline = None if limits.total_seconds is None else time.monotonic() + limits.total_seconds
+    top = cap + 1
+    probes: List[DepthProbe] = []
+    best: Optional[Tuple[int, Witness]] = None  # (num_states, witness), the shortest so far
+    all_unsat = True  # every probe without a model answered UNSAT
+    # a spent budget stops before encoding, which costs seconds at paper scale
+    out_of_time = deadline is not None and time.monotonic() >= deadline
+    if not out_of_time:
         formula, layout = encode_bmc(inst, top)
         base = QueryBase(formula)
-        result, witness = probe(top)
-        if result.status is SolveStatus.UNSAT:
-            if sound:
-                return SynthesisOutcome(
-                    Verdict.UNREACHABLE,
-                    None,
-                    threshold,
-                    probes,
-                    f"unsatisfiable at the completeness threshold ({cap} operations)",
-                )
-            return SynthesisOutcome(
-                Verdict.UNKNOWN,
-                None,
-                threshold,
-                probes,
-                f"unsatisfiable up to {cap} operations, which proves nothing here",
-            )
-        if witness is None:
-            return SynthesisOutcome(
-                Verdict.UNKNOWN,
-                None,
-                threshold,
-                probes,
-                result.detail or "solver gave up at the top depth",
-            )
-        best = (top, witness)
-        # a witness of k operations settles every depth above k states
-        lo, hi = 1, len(witness.operations)
-        while lo <= hi:
-            mid = (lo + hi) // 2
-            result, witness = probe(mid)
-            if witness is not None:
-                best = (mid, witness)
-                hi = len(witness.operations)
-            elif result.status is SolveStatus.UNSAT:
-                lo = mid + 1
-            else:
-                exact = False  # this depth stays unresolved
-                lo = mid + 1
-    except _BudgetExhausted:
-        truncated = "time budget exhausted"
-        exact = False
-    if best is None:
-        return SynthesisOutcome(Verdict.UNKNOWN, None, threshold, probes, truncated)
-    num_states, witness = best
-    reason = f"model at {num_states} states"
-    if not exact:
-        reason += "; minimality not established"
-        if truncated:
-            reason += f" ({truncated})"
-    return SynthesisOutcome(
-        Verdict.REACHABLE, witness, threshold, probes, reason, minimal=exact
-    )
+    lo, hi, num_states = 1, top, top
+    while lo <= hi and not out_of_time:
+        timeout = limits.solve_seconds
+        if deadline is not None:
+            left = deadline - time.monotonic()
+            if left <= 0:
+                out_of_time = True
+                break
+            timeout = left if timeout is None else min(timeout, left)
+        result = backend.solve(Query(base, layout.probe_assumptions(num_states)), timeout=timeout)
+        probes.append(
+            DepthProbe(num_states, result.status, result.seconds, formula.num_vars,
+                       len(formula.clauses), result.conflicts, result.decisions)
+        )
+        if result.status is SolveStatus.SAT:
+            witness = decode(result.assignment, layout)
+            report = replay_verify(inst, witness)
+            if not report.ok:
+                raise EncodingSoundnessError(report.message)
+            best = (num_states, witness)
+            # a witness of k operations settles every depth above k states
+            hi = len(witness.operations)
+        else:
+            all_unsat = all_unsat and result.status is SolveStatus.UNSAT
+            lo = num_states + 1
+        num_states = (lo + hi) // 2
+    minimal = best is not None and all_unsat and not out_of_time
+    if best is not None:
+        verdict, reason = Verdict.REACHABLE, f"model at {best[0]} states"
+        if not minimal:
+            reason += "; minimality not established"
+            if out_of_time:
+                reason += " (time budget exhausted)"
+    elif out_of_time:
+        verdict, reason = Verdict.UNKNOWN, "time budget exhausted"
+    elif not all_unsat:
+        verdict, reason = Verdict.UNKNOWN, result.detail or "solver gave up at the top depth"
+    elif sound:
+        verdict = Verdict.UNREACHABLE
+        reason = f"unsatisfiable at the completeness threshold ({cap} operations)"
+    else:
+        verdict = Verdict.UNKNOWN
+        reason = f"unsatisfiable up to {cap} operations, which proves nothing here"
+    witness = None if best is None else best[1]
+    return SynthesisOutcome(verdict, witness, threshold, probes, reason, minimal)

@@ -43,8 +43,10 @@ from dataclasses import dataclass
 from typing import List, NamedTuple, Sequence, Tuple
 
 from .cnf import Clause, CnfFormula
+# SynthesisInstance lives in graphs; it stays importable from here too
 from .graphs import (
-    EF, ID, LC, VD, Edge, Graph, Operation, normalize_edge, pair_count, pair_index, pairs
+    EF, ID, LC, VD, Graph, Operation, SynthesisInstance, normalize_edge, pair_count, pair_index,
+    pairs,
 )
 
 # value of the z register that selects each operation kind
@@ -59,32 +61,6 @@ def selector_bits(n: int, num_designated: int) -> int:
     if n < 1:
         raise ValueError("need at least one vertex")
     return max(n, num_designated).bit_length()
-
-
-@dataclass(frozen=True)
-class SynthesisInstance:
-    """Source graph, target graph, and the designated pairs EF may flip."""
-
-    source: Graph
-    target: Graph
-    designated: Tuple[Edge, ...] = ()
-
-    def __post_init__(self) -> None:
-        if self.source.n < 1:
-            raise ValueError("need at least one vertex")
-        if self.source.n != self.target.n:
-            raise ValueError("source and target must have the same vertex count")
-        norm = tuple(normalize_edge(u, v) for u, v in self.designated)
-        for u, v in norm:
-            if v >= self.source.n:
-                raise ValueError(f"designated pair ({u}, {v}) out of range")
-        if len(set(norm)) != len(norm):
-            raise ValueError("designated pairs must be distinct")
-        object.__setattr__(self, "designated", norm)
-
-    @property
-    def n(self) -> int:
-        return self.source.n
 
 
 @dataclass(frozen=True)
@@ -139,6 +115,18 @@ class StepLayout:
     def z_vars(self, transition: int) -> List[int]:
         base = self._selector_base(transition) + self.sel_bits
         return [base + 1, base + 2]
+
+    def probe_assumptions(self, num_states: int) -> Tuple[int, ...]:
+        """Assumptions under which this unrolling answers at num_states states.
+
+        They set both kind bits of transitions num_states-1 onward, so those
+        steps are identities (the selector domain forces y = 0 there) and the
+        target units pin state num_states-1.
+        """
+        if not 1 <= num_states <= self.num_states:
+            raise ValueError(f"probe at {num_states} states out of range")
+        identities = range(num_states - 1, self.num_transitions)
+        return tuple(var for t in identities for var in self.z_vars(t))
 
 
 # --- primitive clause builders ------------------------------------------------

@@ -12,8 +12,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .encoding import SynthesisInstance
-from .graphs import Edge, Graph, normalize_edge, pairs, star_graph
+from .graphs import Edge, Graph, SynthesisInstance, normalize_edge, pairs, star_graph
 
 
 def _check_probability(p: float) -> None:

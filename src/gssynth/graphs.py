@@ -13,6 +13,8 @@ Operations:
 * EF(i)   edge flip of the i-th designated pair in a list D of vertex pairs:
           toggle exactly that pair.
 * ID      do nothing (padding step in decoded operation sequences).
+
+A synthesis instance pairs a source and a target graph with the list D.
 """
 
 from __future__ import annotations
@@ -168,3 +170,29 @@ def all_graphs(n: int) -> Iterator[Graph]:
     """Every simple graph on n vertices (2**(n*(n-1)/2) of them)."""
     for bits in range(1 << pair_count(n)):
         yield Graph(n, bits)
+
+
+@dataclass(frozen=True)
+class SynthesisInstance:
+    """Source graph, target graph, and the designated pairs EF may flip."""
+
+    source: Graph
+    target: Graph
+    designated: Tuple[Edge, ...] = ()
+
+    def __post_init__(self) -> None:
+        if self.source.n < 1:
+            raise ValueError("need at least one vertex")
+        if self.source.n != self.target.n:
+            raise ValueError("source and target must have the same vertex count")
+        norm = tuple(normalize_edge(u, v) for u, v in self.designated)
+        for u, v in norm:
+            if v >= self.source.n:
+                raise ValueError(f"designated pair ({u}, {v}) out of range")
+        if len(set(norm)) != len(norm):
+            raise ValueError("designated pairs must be distinct")
+        object.__setattr__(self, "designated", norm)
+
+    @property
+    def n(self) -> int:
+        return self.source.n

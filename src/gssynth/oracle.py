@@ -12,7 +12,6 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
-from .encoding import SynthesisInstance
 from .graphs import (
     EF,
     LC,
@@ -20,6 +19,7 @@ from .graphs import (
     Edge,
     Graph,
     Operation,
+    SynthesisInstance,
     apply_operation,
 )
 

@@ -32,6 +32,7 @@ from .cnf import (
     SolveStatus,
     as_query,
     dimacs_slices,
+    falsified_clause,
     parse_model,
 )
 
@@ -71,8 +72,10 @@ class ExternalSolver:
     answer files never pollute the caller's working directory.  A query's
     assumptions are written as unit clauses after the formula, and the text
     goes to the file slice by slice, never whole in memory.  Only the
-    "s"/"v" lines are trusted; without a verdict, the exit code and the last
-    line on stderr go into the result's detail.
+    "s"/"v" lines are read; without a verdict, the exit code and the last
+    line on stderr go into the result's detail.  A model is checked against
+    the formula and the assumptions, and one that falsifies a clause is
+    answered UNKNOWN with that clause in the detail.
     """
 
     def __init__(self, command: Sequence[str], name: Optional[str] = None) -> None:
@@ -114,6 +117,12 @@ class ExternalSolver:
             # no verdict: keep what the solver said about why
             said = [line.strip() for line in proc.stderr.splitlines() if line.strip()]
             detail = f"exit {proc.returncode}" + (f": {said[-1]}" if said else "")
+        elif status is SolveStatus.SAT:
+            # a model that falsifies the query is the solver's fault: no answer
+            falsified = falsified_clause(query.formula, assignment, query.assumptions)
+            if falsified is not None:
+                status, assignment = SolveStatus.UNKNOWN, None
+                detail = "model falsifies clause " + " ".join(map(str, falsified)) + " 0"
         return SolveResult(status, assignment, time.monotonic() - start, detail)
 
 

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from .cnf import Assignment
-from .encoding import KIND_CODE, StepLayout, SynthesisInstance
-from .graphs import EF, ID, LC, VD, Edge, Graph, Operation, apply_operation
+from .encoding import KIND_CODE, StepLayout
+from .graphs import EF, ID, LC, VD, Edge, Graph, Operation, SynthesisInstance, apply_operation
 
 
 @dataclass(frozen=True)
@@ -40,9 +40,6 @@ class Witness:
     @property
     def final(self) -> Graph:
         return self.states[-1]
-
-    def __len__(self) -> int:
-        return len(self.operations)
 
 
 def _register_value(assignment: Assignment, variables: Sequence[int]) -> int:

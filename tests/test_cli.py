@@ -109,6 +109,18 @@ def test_encode_layout_matches_formula(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_encode_writes_every_dimacs_slice(tmp_path, capsys):
+    # large enough that the text comes in several slices
+    inst = secret_sharing_demo()
+    path = write_inst(tmp_path, "demo.inst", inst)
+    prefix = str(tmp_path / "demo")
+    assert main(["encode", path, "--states", "30", "--out-prefix", prefix]) == 0
+    formula, _ = encode_bmc(inst, 30)
+    assert len(formula.literals) > 2 * (1 << 16)
+    assert (tmp_path / "demo.cnf").read_text() == write_dimacs(formula)
+    capsys.readouterr()
+
+
 def test_encode_rejects_zero_states(tmp_path, capsys):
     path = write_inst(tmp_path, "x.inst", SynthesisInstance(STAR4, K4))
     assert main(["encode", path, "--states", "0", "--out-prefix", str(tmp_path / "x")]) == 64
@@ -200,6 +212,8 @@ def test_synth_reports_bad_instance_files(tmp_path, capsys):
         ["synth", "STAR", "--solver", "no-such-solver"],
         ["synth", "STAR", "--solve-timeout", "-1"],
         ["synth", "STAR", "--budget", "-1"],
+        ["synth", "STAR", "--budget", "nan"],
+        ["synth", "STAR", "--solve-timeout", "nan"],
         ["oracle", "STAR", "--state-cap", "0"],
         ["encode", "STAR", "--states", "2", "--out-prefix", "NODIR"],
         ["gen", "--family", "er", "--parties", "a,b"],
@@ -215,6 +229,7 @@ def test_synth_reports_bad_instance_files(tmp_path, capsys):
         ["bench", "--family", "er", "--sizes", "4", "--p", "2"],
         ["bench", "--family", "er", "--sizes", "4", "--d-size", "9"],
         ["bench", "--family", "er", "--sizes", "4", "--max-ops", "-1"],
+        ["bench", "--family", "er", "--sizes", "4", "--budget", "nan"],
         ["bench", "--family", "er", "--sizes", "4", "--solver", "no-such-solver"],
         ["bench", "--family", "er", "--sizes", "4", "--seeds", "0"],
         ["bench", "--family", "er", "--sizes", "4", "--seeds", "-1"],

@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 
 import gssynth.driver
-from gssynth.cnf import Query, SolveStatus
+from gssynth.cnf import Query, QueryBase, SolveStatus
 from gssynth.driver import (
     Limits,
     Verdict,
@@ -83,7 +83,7 @@ def test_synthesize_star_to_complete():
     assert outcome.witness.operations[0].kind == "LC"
     assert outcome.witness.operations[0].arg == 0
     assert outcome.probes  # the searched depths are reported
-    assert outcome.depth_explored == 7  # cap 6 operations, probed first
+    assert outcome.probes[0].num_states == 7  # cap 6 operations, probed first
 
 
 def test_synthesize_equal_graphs_gives_an_empty_witness():
@@ -211,8 +211,7 @@ def test_synthesize_skips_unsolved_depths_and_drops_the_minimality_claim():
     # poison the two-state probe (the true minimal depth for star -> K4): its
     # assumptions make transitions 1..5 of the 7-state top formula identities.
     # The verdict must survive as Reachable, only `minimal` is forfeited
-    top = StepLayout(4, 7)
-    two_states = tuple(var for t in range(1, top.num_transitions) for var in top.z_vars(t))
+    two_states = StepLayout(4, 7).probe_assumptions(2)
     outcome = synthesize(SynthesisInstance(STAR4, K4), UnknownAtDepth(two_states))
     assert outcome.verdict is Verdict.REACHABLE
     assert not outcome.minimal
@@ -272,3 +271,85 @@ def test_synthesize_agrees_with_the_oracle_on_every_pair_at_n3():
                 else:
                     assert outcome.verdict is Verdict.UNREACHABLE, inst
     assert cases == 320
+
+
+class FakeClock:
+    """Stands in for the driver's `time` module; moves only when told to."""
+
+    def __init__(self) -> None:
+        self.now = 0.0
+
+    def monotonic(self) -> float:
+        return self.now
+
+
+class HookedSolver:
+    """The builtin solver, with a hook that sees every timeout first."""
+
+    name = "hooked"
+
+    def __init__(self, hook) -> None:
+        self.hook = hook
+        self.inner = InProcessSolver()
+
+    def solve(self, formula, timeout=None) -> SolveResult:
+        self.hook(timeout)
+        return self.inner.solve(formula, timeout)
+
+
+def test_a_budget_spent_after_the_top_probe_keeps_its_witness(monkeypatch):
+    clock = FakeClock()
+    monkeypatch.setattr(gssynth.driver, "time", clock)
+
+    def spend_ten_seconds(timeout):
+        clock.now += 10.0
+
+    outcome = synthesize(
+        SynthesisInstance(STAR4, K4), HookedSolver(spend_ten_seconds), Limits(total_seconds=5.0)
+    )
+    assert outcome.verdict is Verdict.REACHABLE
+    assert not outcome.minimal
+    assert [p.num_states for p in outcome.probes] == [7]
+    assert outcome.reason == "model at 7 states; minimality not established (time budget exhausted)"
+
+
+def test_the_top_probe_slice_excludes_encoding_time(monkeypatch):
+    clock = FakeClock()
+    monkeypatch.setattr(gssynth.driver, "time", clock)
+
+    def slow_encode_bmc(*args):
+        clock.now += 5.0
+        return encode_bmc(*args)
+
+    monkeypatch.setattr(gssynth.driver, "encode_bmc", slow_encode_bmc)
+    timeouts = []
+    outcome = synthesize(
+        SynthesisInstance(STAR4, K4), HookedSolver(timeouts.append), Limits(total_seconds=10.0)
+    )
+    assert outcome.minimal and len(outcome.witness.operations) == 1
+    assert timeouts == [5.0] * len(outcome.probes)
+
+
+def test_a_probe_under_assumptions_agrees_with_its_own_depth():
+    # the top formula under probe_assumptions(s) is SAT exactly when the
+    # s-state formula is; probes run in a shuffled order on one base
+    rng = random.Random(3)
+    solver = InProcessSolver()
+    seen = set()
+    for n in (3, 4):
+        for designated in ((), ((0, 1),), ((0, 2), (1, 2))):
+            for _ in range(3):
+                source = Graph(n, rng.getrandbits(pair_count(n)))
+                target = Graph(n, rng.getrandbits(pair_count(n)))
+                inst = SynthesisInstance(source, target, designated)
+                top = completeness_threshold(inst).max_transitions + 1
+                formula, layout = encode_bmc(inst, top)
+                base = QueryBase(formula)
+                depths = list(range(1, top + 1))
+                rng.shuffle(depths)
+                for s in depths:
+                    probe = solver.solve(Query(base, layout.probe_assumptions(s)))
+                    alone = solver.solve(encode_bmc(inst, s)[0])
+                    assert probe.status is alone.status, (inst, s)
+                    seen.add(probe.status)
+    assert seen == {SolveStatus.SAT, SolveStatus.UNSAT}

@@ -125,6 +125,16 @@ def test_layout_rejects_bad_indices():
         layout.z_vars(-1)
     with pytest.raises(ValueError):
         StepLayout(4, 0)
+    for num_states in (0, 3):
+        with pytest.raises(ValueError):
+            layout.probe_assumptions(num_states)
+
+
+def test_probe_assumptions_set_the_kind_bits_of_later_transitions():
+    layout = StepLayout(4, 4)
+    assert layout.probe_assumptions(4) == ()
+    assert layout.probe_assumptions(2) == (*layout.z_vars(1), *layout.z_vars(2))
+    assert layout.probe_assumptions(1) == tuple(v for t in range(3) for v in layout.z_vars(t))
 
 
 # --- register constraints -----------------------------------------------------------

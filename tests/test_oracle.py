@@ -2,7 +2,15 @@
 
 from __future__ import annotations
 
+import ast
+import sys
+from pathlib import Path
+
 import pytest
+
+import gssynth.encoding
+import gssynth.graphs
+import gssynth.oracle
 
 from gssynth.encoding import SynthesisInstance
 from gssynth.graphs import (
@@ -104,3 +112,19 @@ def test_reachable_set_with_and_without_vd():
 def test_reachable_set_cap():
     with pytest.raises(StateCapExceeded):
         reachable_set(complete_graph(5), state_cap=3)
+
+
+def test_the_oracle_imports_only_graphs_and_the_standard_library():
+    # the oracle is the ground truth, so it must not share code with the encoder
+    tree = ast.parse(Path(gssynth.oracle.__file__).read_text())
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.append("." * node.level + (node.module or ""))
+        elif isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+    assert ".graphs" in imported
+    for name in imported:
+        assert name == ".graphs" or name.split(".")[0] in sys.stdlib_module_names, name
+    # the encoder's name for the instance type is the same class
+    assert gssynth.encoding.SynthesisInstance is gssynth.graphs.SynthesisInstance

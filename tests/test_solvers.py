@@ -255,6 +255,44 @@ def test_external_solver_writes_assumptions_as_unit_clauses(tmp_path):
     assert seen.read_text() == write_dimacs(f)
 
 
+def stub_solver(tmp_path, stdout: str) -> ExternalSolver:
+    """An external solver that prints `stdout` whatever it is given."""
+    script = tmp_path / "stub-solver"
+    script.write_text(f"#!/bin/sh\ncat <<'EOF'\n{stdout}EOF\n")
+    script.chmod(0o755)
+    return ExternalSolver([str(script)])
+
+
+def test_external_solver_answers_unknown_for_sat_without_a_model(tmp_path):
+    backend = stub_solver(tmp_path, "s SATISFIABLE\n")
+    f = CnfFormula(2)
+    f.add_clauses([[-1], [1, 2]])
+    result = backend.solve(f)
+    assert result.status is SolveStatus.UNKNOWN and result.assignment is None
+    assert result.detail == "model falsifies clause 1 2 0"
+    # the driver reports it as the reason, not as an encoding fault
+    triangle = Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)])
+    inst = SynthesisInstance(star_graph(3, 0, (1, 2)), triangle)
+    outcome = synthesize(inst, backend)
+    assert outcome.verdict is Verdict.UNKNOWN and outcome.witness is None
+    assert outcome.reason == "model falsifies clause 1 0"
+
+
+def test_external_solver_checks_a_model_against_formula_and_assumptions(tmp_path):
+    f = CnfFormula(3)
+    f.add_clauses([[1], [-2]])
+    query = Query(QueryBase(f), (3,))
+    wrong = stub_solver(tmp_path, "s SATISFIABLE\nv 1 2 3 0\n").solve(query)
+    assert wrong.status is SolveStatus.UNKNOWN and wrong.assignment is None
+    assert wrong.detail == "model falsifies clause -2 0"
+    unassumed = stub_solver(tmp_path, "s SATISFIABLE\nv 1 -2 -3 0\n").solve(query)
+    assert unassumed.status is SolveStatus.UNKNOWN
+    assert unassumed.detail == "model falsifies clause 3 0"
+    right = stub_solver(tmp_path, "s SATISFIABLE\nv 1 -2 3 0\n").solve(query)
+    assert right.status is SolveStatus.SAT and right.detail == ""
+    assert right.assignment == {1: True, 2: False, 3: True}
+
+
 # --- external solver (only when one is installed) ----------------------------------
 
 

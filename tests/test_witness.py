@@ -50,7 +50,7 @@ def test_witness_needs_one_more_state_than_operations():
         Witness((Operation(LC, 0),), (STAR4,))
     w = Witness((), (STAR4,))
     assert w.initial == w.final == STAR4
-    assert len(w) == 0
+    assert w.operations == ()
 
 
 # --- decoding -------------------------------------------------------------------
