@@ -11,9 +11,10 @@ import enum
 import re
 import struct
 from array import array
+from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import chain, pairwise
+from itertools import pairwise
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 Literal = int
@@ -238,20 +239,28 @@ def clause_satisfied(clause: Clause, assignment: Assignment) -> bool:
     return any(assignment.get(abs(lit), False) == (lit > 0) for lit in clause)
 
 
+# a clause is falsified where a terminator (2), or the start, is followed by
+# nothing but false literals (0) up to the next terminator
+_FALSIFIED = re.compile(rb"\x02\x00*\x02")
+
+
 def falsified_clause(
     formula: CnfFormula, assignment: Assignment, units: Sequence[Literal] = ()
 ) -> Optional[Clause]:
     """The first clause the assignment falsifies, or None.
 
-    `units` count as unit clauses after the formula's, as `dimacs_slices`
-    writes them.
+    Unassigned variables count as false.  `units` count as unit clauses after
+    the formula's, as `dimacs_slices` writes them.
     """
-    for clause in chain(formula.clauses, ([lit] for lit in units)):
-        if not clause_satisfied(clause, assignment):
-            return list(clause)
+    nv = formula.num_vars
+    values = [1 if assignment.get(v, False) else 0 for v in range(1, nv + 1)]
+    # indexed by literal like dimacs_slices' words, and 0 marks a clause's end
+    truth = [2, *values, *(1 - value for value in reversed(values))]
+    flags = bytes(map(truth.__getitem__, formula.literals))
+    found = _FALSIFIED.search(b"\x02" + flags)
+    if found is not None:
+        return list(formula.clauses[bisect_left(formula.starts, found.start())])
+    for lit in units:
+        if not clause_satisfied([lit], assignment):
+            return [lit]
     return None
-
-
-def check_assignment(formula: CnfFormula, assignment: Assignment) -> bool:
-    """True iff the assignment satisfies every clause."""
-    return falsified_clause(formula, assignment) is None

@@ -13,8 +13,9 @@ Verdict semantics
   user depth cap that carries no completeness guarantee (always the case with
   designated pairs).
 
-A model that fails replay raises EncodingSoundnessError: it means the encoder
-and the graph semantics disagree, which must never be reported as a verdict.
+A model that fails replay, or that decodes to more operations than its probe's
+depth allows, raises EncodingSoundnessError: it means the encoder and the
+graph semantics disagree, which must never be reported as a verdict.
 """
 
 from __future__ import annotations
@@ -180,6 +181,11 @@ def synthesize(
             report = replay_verify(inst, witness)
             if not report.ok:
                 raise EncodingSoundnessError(report.message)
+            if len(witness.operations) >= num_states:
+                # a longer witness would leave hi at this depth, probed forever
+                raise EncodingSoundnessError(
+                    f"{len(witness.operations)} operations from a probe at {num_states} states"
+                )
             best = (num_states, witness)
             # a witness of k operations settles every depth above k states
             hi = len(witness.operations)

@@ -15,13 +15,19 @@ y-th designated pair, z=3 identity.
 One relation builder, `encode_operation`, turns any operation into clauses
 over the edge variables of two consecutive states: each pair is cleared,
 toggled, toggled under a condition, or copied.  A transition conjoins the
-relation of every operation it offers (LC and VD at each vertex, EF at each
-designated pair, identity), widened by one guard rule: a clause c of the
-relation for argument k and kind val becomes neq(y, k) + neq(z, val) + c, so
-the relation only bites when the selectors pick it; identity is picked by its
-kind alone, so its guard drops the y part.  A domain constraint keeps the
-selectors meaningful: z in {0,1} forces y < n, z=2 forces y < |D| (or is
-forbidden outright when D is empty), z=3 forces y = 0.
+relation of every operation it offers, widened by one guard rule: a clause c
+of the relation for argument k and kind val becomes neq(y, k) + neq(z, val) +
+c, so the relation only bites when the selectors pick it; identity is picked
+by its kind alone, so its guard drops the y part.  It offers LC at each
+vertex, EF at each designated pair, identity, and VD only at the vertices
+that are isolated in the target or lie on a designated pair: a deleted vertex
+stays isolated under LC and VD, and only an edge flip can re-attach it, so
+deleting any other vertex strands an edge of the target.  VD at the other
+vertices is outlawed by its guard alone as a clause (or by neq(z, 1) when no
+vertex is deletable), which removes no sequence that reaches the target.  A
+domain constraint keeps the selectors meaningful: z in {0,1} forces y < n,
+z=2 forces y < |D| (or is forbidden outright when D is empty), z=3 forces
+y = 0.
 
 The full formula conjoins unit clauses pinning state 0 to the source graph,
 all transitions, and unit clauses pinning the last state to the target.  With
@@ -45,8 +51,8 @@ from typing import List, NamedTuple, Sequence, Tuple
 from .cnf import Clause, CnfFormula
 # SynthesisInstance lives in graphs; it stays importable from here too
 from .graphs import (
-    EF, ID, LC, VD, Graph, Operation, SynthesisInstance, normalize_edge, pair_count, pair_index,
-    pairs,
+    EF, ID, LC, VD, Graph, Operation, SynthesisInstance, isolated_vertices, normalize_edge,
+    pair_count, pair_index, pairs,
 )
 
 # value of the z register that selects each operation kind
@@ -232,11 +238,15 @@ def encode_transition(
     """Every operation's relation between states t and t+1, widened by its guard.
 
     The guard of an operation is neq(y, arg) + neq(z, code); identity is
-    selected by its kind alone, so its guard drops the y part.
+    selected by its kind alone, so its guard drops the y part.  VD is offered
+    only at vertices isolated in the target or on a designated pair (see the
+    module docstring); at any other vertex its guard alone is a clause, and
+    when no vertex is deletable the one clause neq(z, VD) replaces those.
     """
     t = transition
     y = layout.y_vars(t)
     z = layout.z_vars(t)
+    deletable = isolated_vertices(inst.target).union(*inst.designated)
     operations = [Operation(kind, k) for k in range(layout.n) for kind in (LC, VD)]
     operations += [Operation(EF, i) for i in range(len(inst.designated))]
     operations.append(Operation(ID, 0))
@@ -245,7 +255,13 @@ def encode_transition(
         guard = encode_neq(z, KIND_CODE[op.kind])
         if op.kind != ID:
             guard = encode_neq(y, op.arg) + guard
+        if op.kind == VD and op.arg not in deletable:
+            if deletable:
+                clauses.append(guard)
+            continue
         clauses.extend(guard + clause for clause in encode_operation(op, inst, t, layout))
+    if not deletable:
+        clauses.append(encode_neq(z, KIND_CODE[VD]))
     clauses.extend(_selector_domain(t, layout))
     return clauses
 

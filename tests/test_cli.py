@@ -114,8 +114,8 @@ def test_encode_writes_every_dimacs_slice(tmp_path, capsys):
     inst = secret_sharing_demo()
     path = write_inst(tmp_path, "demo.inst", inst)
     prefix = str(tmp_path / "demo")
-    assert main(["encode", path, "--states", "30", "--out-prefix", prefix]) == 0
-    formula, _ = encode_bmc(inst, 30)
+    assert main(["encode", path, "--states", "32", "--out-prefix", prefix]) == 0
+    formula, _ = encode_bmc(inst, 32)
     assert len(formula.literals) > 2 * (1 << 16)
     assert (tmp_path / "demo.cnf").read_text() == write_dimacs(formula)
     capsys.readouterr()
@@ -139,7 +139,7 @@ def test_synth_reachable_with_witness_file(tmp_path, capsys):
     table = out.splitlines()
     assert table[0] == "states  vars  clauses  status   seconds  conflicts  decisions"
     # the top probe (6 operations, 7 states) comes first; every probe has 7 columns
-    assert table[1].split()[:4] == ["7", "72", "906", "sat"]
+    assert table[1].split()[:4] == ["7", "72", "696", "sat"]
     assert all(len(row.split()) == 7 for row in table[1 : table.index("verdict reachable")])
     assert "verdict reachable" in out
     assert "op LC 0" in out

@@ -13,8 +13,8 @@ from gssynth.cnf import (
     QueryBase,
     SolveStatus,
     as_query,
-    check_assignment,
     clause_satisfied,
+    falsified_clause,
     parse_model,
     write_dimacs,
 )
@@ -124,7 +124,7 @@ def test_empty_clause_is_unsatisfiable():
     f.add_clause([])
     for bits in itertools.product((False, True), repeat=2):
         assignment = {1: bits[0], 2: bits[1]}
-        assert not check_assignment(f, assignment)
+        assert falsified_clause(f, assignment) is not None
 
 
 # --- DIMACS -------------------------------------------------------------------
@@ -213,7 +213,7 @@ def test_clause_satisfied():
     assert not clause_satisfied([], {1: True})
 
 
-def test_check_assignment_over_all_assignments():
+def test_falsified_clause_over_all_assignments():
     f = CnfFormula(3)
     f.add_clauses([[1, 2], [-1, 3], [-2, -3]])
     satisfying = 0
@@ -224,6 +224,35 @@ def test_check_assignment_over_all_assignments():
             and (not assignment[1] or assignment[3])
             and (not assignment[2] or not assignment[3])
         )
-        assert check_assignment(f, assignment) == expected
+        assert (falsified_clause(f, assignment) is None) == expected
         satisfying += expected
     assert satisfying == 2
+
+
+def first_falsified_clause_by_definition(formula, assignment, units):
+    for clause in [*formula.clauses, *([lit] for lit in units)]:
+        if not clause_satisfied(clause, assignment):
+            return list(clause)
+    return None
+
+
+def test_falsified_clause_matches_the_clause_by_clause_definition():
+    rng = random.Random(8)
+    kinds = set()
+    for _ in range(600):
+        nv = rng.randint(0, 6)
+        f = CnfFormula(nv)
+        for _ in range(rng.randint(0, 8)):
+            # widths 0 and 1 give empty clauses and units inside the formula
+            width = rng.randint(0, min(3, nv))
+            f.add_clause(rng.choice((v, -v)) for v in rng.sample(range(1, nv + 1), width))
+        units = [rng.choice((v, -v)) for v in rng.sample(range(1, nv + 1), rng.randint(0, nv))]
+        # a partial assignment: missing variables count as false
+        assignment = {v: rng.random() < 0.5 for v in range(1, nv + 1) if rng.random() < 0.9}
+        expected = first_falsified_clause_by_definition(f, assignment, units)
+        assert falsified_clause(f, assignment, units) == expected
+        if expected is not None:
+            from_units = expected not in [list(c) for c in f.clauses]
+            kinds.add((min(len(expected), 2), from_units))
+    # empty clauses, units and longer clauses of the formula, and the extra units
+    assert kinds >= {(0, False), (1, False), (2, False), (1, True)}

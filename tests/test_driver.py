@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import itertools
 import random
+
+import pytest
 
 import gssynth.driver
 from gssynth.cnf import Query, QueryBase, SolveStatus
 from gssynth.driver import (
+    EncodingSoundnessError,
     Limits,
     Verdict,
     completeness_threshold,
@@ -15,7 +19,7 @@ from gssynth.driver import (
 )
 from gssynth.encoding import SynthesisInstance, StepLayout, encode_bmc
 from gssynth.generators import secret_sharing_demo
-from gssynth.graphs import Graph, pair_count, star_graph
+from gssynth.graphs import Graph, pair_count, pairs, star_graph
 from gssynth.oracle import reachable_bfs
 from gssynth.solvers import InProcessSolver, SolveResult
 
@@ -248,8 +252,11 @@ def test_synthesize_agrees_with_the_oracle_on_random_instances():
 
 
 def test_synthesize_agrees_with_the_oracle_on_every_pair_at_n3():
+    # D is empty, one pair, or two pairs in either order: the order numbers
+    # the EF selectors, and the pairs decide which vertices VD is offered at
     graphs = [Graph(3, bits) for bits in range(1 << pair_count(3))]
-    pair_sets = [(), ((0, 1),), ((0, 2),), ((1, 2),), ((0, 1), (1, 2))]
+    single = [(pair,) for pair in pairs(3)]
+    pair_sets = [(), *single, *itertools.permutations(pairs(3), 2)]
     solver = InProcessSolver()
     cases = 0
     for designated in pair_sets:
@@ -270,7 +277,36 @@ def test_synthesize_agrees_with_the_oracle_on_every_pair_at_n3():
                     assert outcome.verdict is Verdict.UNKNOWN, inst
                 else:
                     assert outcome.verdict is Verdict.UNREACHABLE, inst
-    assert cases == 320
+    assert cases == 640
+
+
+def test_synthesize_agrees_with_the_oracle_on_targets_with_isolated_vertices_at_n4():
+    # VD is offered only at vertices isolated in the target or on a designated
+    # pair, so the targets here are random graphs on random vertex subsets
+    rng = random.Random(17)
+    solver = InProcessSolver()
+    kinds = set()
+    for _ in range(40):
+        source = Graph(4, rng.getrandbits(pair_count(4)))
+        kept = sorted(rng.sample(range(4), rng.randint(2, 4)))
+        edges = [e for e in itertools.combinations(kept, 2) if rng.random() < 0.6]
+        target = Graph.from_edges(4, edges)
+        designated = tuple(rng.sample(pairs(4), rng.randint(0, 2)))
+        inst = SynthesisInstance(source, target, designated)
+        oracle = reachable_bfs(inst)
+        limits = Limits(max_operations=10) if designated else Limits()
+        outcome = synthesize(inst, solver, limits)
+        if oracle.reachable:
+            assert oracle.shortest_length <= 10
+            assert outcome.verdict is Verdict.REACHABLE, inst
+            assert len(outcome.witness.operations) == oracle.shortest_length, inst
+            assert outcome.minimal, inst
+        elif designated:
+            assert outcome.verdict is Verdict.UNKNOWN, inst
+        else:
+            assert outcome.verdict is Verdict.UNREACHABLE, inst
+        kinds.add((oracle.reachable, bool(designated)))
+    assert len(kinds) == 4
 
 
 class FakeClock:
@@ -328,6 +364,24 @@ def test_the_top_probe_slice_excludes_encoding_time(monkeypatch):
     )
     assert outcome.minimal and len(outcome.witness.operations) == 1
     assert timeouts == [5.0] * len(outcome.probes)
+
+
+def test_a_witness_longer_than_its_probe_allows_is_refused(monkeypatch):
+    # probe assumptions off by one leave transition s-1 free, so a probe at
+    # s states can return s operations; that must raise, not repeat the probe
+    def off_by_one(layout, num_states):
+        identities = range(num_states, layout.num_transitions)
+        return tuple(var for t in identities for var in layout.z_vars(t))
+
+    monkeypatch.setattr(StepLayout, "probe_assumptions", off_by_one)
+    timeouts = []
+
+    def give_up_on_a_loop(timeout):
+        timeouts.append(timeout)
+        assert len(timeouts) < 20, "the search keeps repeating a probe"
+
+    with pytest.raises(EncodingSoundnessError, match="operations from a probe at"):
+        synthesize(SynthesisInstance(STAR4, K4), HookedSolver(give_up_on_a_loop))
 
 
 def test_a_probe_under_assumptions_agrees_with_its_own_depth():

@@ -340,20 +340,15 @@ def transition_ops(n: int, designated):
     return table
 
 
-@pytest.mark.parametrize("designated", [(), ((0, 2),)], ids=["D0", "D1"])
-def test_transition_models_project_onto_the_operation_relation(designated):
-    inst = SynthesisInstance(Graph(3), Graph(3), designated)
-    layout = StepLayout(3, 2, len(designated))
+def transition_models(inst: SynthesisInstance, layout: StepLayout):
+    """Every (pre, y, z, post) whose assignment satisfies transition 0's clauses."""
     clauses = encode_transition(inst, 0, layout)
-    legal = transition_ops(3, designated)
-
-    model_count = 0
-    seen = set()
     y = layout.y_vars(0)
     z = layout.z_vars(0)
-    for pre in all_graphs(3):
+    models = set()
+    for pre in all_graphs(layout.n):
         base = graph_assignment(pre, 0, layout)
-        for post in all_graphs(3):
+        for post in all_graphs(layout.n):
             edge_assign = {**base, **graph_assignment(post, 1, layout)}
             for y_value in range(1 << layout.sel_bits):
                 for z_value in range(4):
@@ -362,15 +357,38 @@ def test_transition_models_project_onto_the_operation_relation(designated):
                         **register_assignment(y, y_value),
                         **register_assignment(z, z_value),
                     }
-                    if not satisfies(clauses, assignment):
-                        continue
-                    model_count += 1
-                    assert (y_value, z_value) in legal
-                    assert post == apply_operation(pre, legal[(y_value, z_value)], designated)
-                    seen.add((pre, y_value, z_value))
-    # every legal selector applies to every graph exactly once
-    assert model_count == 8 * len(legal)
-    assert seen == {(g, yv, zv) for g in all_graphs(3) for yv, zv in legal}
+                    if satisfies(clauses, assignment):
+                        models.add((pre, y_value, z_value, post))
+    return models
+
+
+@pytest.mark.parametrize("designated", [(), ((0, 2),)], ids=["D0", "D1"])
+def test_transition_models_project_onto_the_operation_relation(designated):
+    # every legal selector applies to every graph exactly once, and nothing
+    # else satisfies the transition; VD k is legal iff k is isolated in the
+    # target or lies on a designated pair
+    layout = StepLayout(3, 2, len(designated))
+    on_pairs = {v for pair in designated for v in pair}
+    deletable_counts = set()
+    for target in all_graphs(3):
+        touched = {w for u, v in pairs(3) if target.has_edge(u, v) for w in (u, v)}
+        deletable = set(range(3)) - touched | on_pairs
+        deletable_counts.add(len(deletable))
+        legal = {
+            selector: op
+            for selector, op in transition_ops(3, designated).items()
+            if op.kind != VD or op.arg in deletable
+        }
+        expected = {
+            (g, y_value, z_value, apply_operation(g, op, designated))
+            for g in all_graphs(3)
+            for (y_value, z_value), op in legal.items()
+        }
+        inst = SynthesisInstance(Graph(3), target, designated)
+        assert transition_models(inst, layout) == expected, target
+    # the empty target leaves every vertex deletable; without pairs the path
+    # and the triangle leave none
+    assert deletable_counts == ({0, 1, 3} if not designated else {2, 3})
 
 
 def test_transition_clause_counts_n3():
@@ -378,6 +396,12 @@ def test_transition_clause_counts_n3():
     layout0 = StepLayout(3, 2)
     # per vertex: LC 10 + VD 4; identity 6; selector domain 4
     assert len(encode_transition(inst0, 0, layout0)) == 3 * 14 + 6 + 4
+    # target edge 01: VD keeps its relation at 2 only, 0 and 1 get their guard alone
+    inst01 = SynthesisInstance(Graph(3), Graph.from_edges(3, [(0, 1)]))
+    assert len(encode_transition(inst01, 0, layout0)) == 3 * 10 + 4 + 2 + 6 + 4
+    # a triangle target leaves no vertex deletable: one clause outlaws VD
+    triangle = SynthesisInstance(Graph(3), Graph(3, 0b111))
+    assert len(encode_transition(triangle, 0, layout0)) == 3 * 10 + 1 + 6 + 4
 
     inst1 = SynthesisInstance(Graph(3), Graph(3), ((0, 1),))
     layout1 = StepLayout(3, 2, 1)
@@ -471,7 +495,7 @@ def test_bmc_dimacs_bytes_are_pinned():
         inst = SynthesisInstance(erdos_renyi(n, 0.8, 0), ghz_target(n, range(4)), designated)
         top = completeness_threshold(inst).max_transitions + 1
         digest.update(write_dimacs(encode_bmc(inst, top)[0]).encode())
-    assert digest.hexdigest() == "600009a306505a94db3b99a11958bd4fb8ab99da724dca29ee4f46a622b8995d"
+    assert digest.hexdigest() == "1beeaa76b057b7e2f7d363318c577a07eb26d7ca3bfd50b1d591cd68ef4d11a1"
 
 
 def test_bmc_agrees_with_oracle_shortest_lengths():

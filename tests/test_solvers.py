@@ -12,7 +12,7 @@ from gssynth.cnf import (
     Query,
     QueryBase,
     SolveStatus,
-    check_assignment,
+    falsified_clause,
     write_dimacs,
 )
 from gssynth.driver import Verdict, synthesize
@@ -29,7 +29,7 @@ from gssynth.solvers import (
 def brute_force_satisfiable(formula: CnfFormula, assumptions=()) -> bool:
     for bits in itertools.product((False, True), repeat=formula.num_vars):
         assignment = {v: bits[v - 1] for v in range(1, formula.num_vars + 1)}
-        if satisfies(assignment, assumptions) and check_assignment(formula, assignment):
+        if satisfies(assignment, assumptions) and falsified_clause(formula, assignment) is None:
             return True
     return False
 
@@ -62,7 +62,7 @@ def test_builtin_agrees_with_truth_tables():
         assert result.status is (SolveStatus.SAT if expected else SolveStatus.UNSAT)
         if result.status is SolveStatus.SAT:
             assert result.assignment is not None
-            assert check_assignment(f, result.assignment)
+            assert falsified_clause(f, result.assignment) is None
 
 
 def test_builtin_edge_cases():
@@ -143,7 +143,7 @@ def test_builtin_answers_a_sequence_of_queries_under_assumptions():
             assert result.status is (SolveStatus.SAT if expected else SolveStatus.UNSAT)
             answers.add((bool(assumptions), result.status))
             if result.status is SolveStatus.SAT:
-                assert check_assignment(f, result.assignment)
+                assert falsified_clause(f, result.assignment) is None
                 assert satisfies(result.assignment, assumptions)
     # both answers, with and without assumptions, were exercised
     assert len(answers) == 4
@@ -158,7 +158,7 @@ def test_a_failed_assumption_binds_only_its_query():
         assert solver.solve(Query(base, assumptions)).status is SolveStatus.UNSAT
         result = solver.solve(Query(base, ()))
         assert result.status is SolveStatus.SAT
-        assert check_assignment(f, result.assignment)
+        assert falsified_clause(f, result.assignment) is None
     result = solver.solve(Query(base, (-2,)))
     assert result.status is SolveStatus.SAT and result.assignment[2] is False
 
@@ -313,7 +313,7 @@ def test_external_agrees_with_truth_tables():
         assert result.status is (SolveStatus.SAT if expected else SolveStatus.UNSAT)
         if result.status is SolveStatus.SAT:
             assert result.assignment is not None
-            assert check_assignment(f, result.assignment)
+            assert falsified_clause(f, result.assignment) is None
 
 
 def test_external_and_builtin_agree_on_random_3sat():
