@@ -91,18 +91,14 @@ def _backend(spec: Optional[str]) -> SolverBackend:
 
 
 def _limits(args: argparse.Namespace) -> Limits:
-    for option, value in (
-        ("--solve-timeout", args.solve_timeout),
-        ("--budget", args.budget),
-        ("--max-ops", args.max_ops),
-    ):
-        if value is not None and not value >= 0:  # NaN fails this too
-            raise SystemExit(f"gssynth: {option} must be at least 0")
-    return Limits(
-        solve_seconds=args.solve_timeout,
-        total_seconds=args.budget,
-        max_operations=args.max_ops,
-    )
+    try:
+        return Limits(
+            solve_seconds=args.solve_timeout,
+            total_seconds=args.budget,
+            max_operations=args.max_ops,
+        )
+    except ValueError as exc:
+        raise SystemExit(f"gssynth: {exc}") from exc
 
 
 # --- gen -------------------------------------------------------------------------

@@ -98,9 +98,16 @@ class DepthProbe:
 
 @dataclass(frozen=True)
 class Limits:
+    """Limits on one search: None sets no limit, 0 is a limit like any other."""
+
     solve_seconds: Optional[float] = None  # per solver call
     total_seconds: Optional[float] = None  # whole search
     max_operations: Optional[int] = None  # overrides the default depth cap
+
+    def __post_init__(self) -> None:
+        for name, value in vars(self).items():
+            if value is not None and not value >= 0:  # NaN fails this too
+                raise ValueError(f"{name} must be at least 0, not {value}")
 
 
 @dataclass

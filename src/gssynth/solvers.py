@@ -78,14 +78,14 @@ class ExternalSolver:
     answered UNKNOWN with that clause in the detail.
     """
 
-    def __init__(self, command: Sequence[str], name: Optional[str] = None) -> None:
+    def __init__(self, command: Sequence[str]) -> None:
         if not command:
             raise ValueError("empty solver command")
         resolved = shutil.which(command[0])
         if resolved is None:
             raise SolverNotFoundError(f"solver binary {command[0]!r} not on PATH")
         self.command = [resolved, *command[1:]]
-        self.name = name or os.path.basename(command[0])
+        self.name = os.path.basename(command[0])
 
     def solve(
         self, formula: Union[CnfFormula, Query], timeout: Optional[float] = None
@@ -127,14 +127,14 @@ class ExternalSolver:
 
 
 # solvers probed for on PATH, with the flags that make them print a model
-_KNOWN_SOLVERS = (
-    ("kissat", ["-q"]),
-    ("cadical", ["-q"]),
-    ("cadical-dimacs", []),
-    ("glucose", ["-model"]),
-    ("varisat", []),
-    ("splr", ["-q", "-r", "-"]),
-)
+_KNOWN_SOLVERS = {
+    "kissat": ["-q"],
+    "cadical": ["-q"],
+    "cadical-dimacs": [],
+    "glucose": ["-model"],
+    "varisat": [],
+    "splr": ["-q", "-r", "-"],
+}
 
 
 def resolve_backend(spec: Optional[str] = None) -> SolverBackend:
@@ -142,7 +142,8 @@ def resolve_backend(spec: Optional[str] = None) -> SolverBackend:
 
     Order: explicit `spec` command line, then the GSSYNTH_SOLVER environment
     variable, then the first known solver binary on PATH, then the in-process
-    solver.  `spec="builtin"` forces the in-process solver.
+    solver.  `spec="builtin"` forces the in-process solver.  A known solver
+    named alone, by name or by path, gets its flags as on a PATH probe.
     """
     spec = spec if spec is not None else os.environ.get(SOLVER_ENV_VAR)
     if spec is not None:
@@ -152,15 +153,12 @@ def resolve_backend(spec: Optional[str] = None) -> SolverBackend:
         parts = shlex.split(spec)
         if not parts:
             raise ValueError("empty solver command")
-        base = os.path.basename(parts[0])
         if len(parts) == 1:
-            for name, args in _KNOWN_SOLVERS:
-                if base == name:
-                    return ExternalSolver([parts[0], *args], name=name)
+            parts += _KNOWN_SOLVERS.get(os.path.basename(parts[0]), [])
         return ExternalSolver(parts)
-    for name, args in _KNOWN_SOLVERS:
+    for name, flags in _KNOWN_SOLVERS.items():
         if shutil.which(name):
-            return ExternalSolver([name, *args], name=name)
+            return ExternalSolver([name, *flags])
     return InProcessSolver()
 
 
@@ -171,17 +169,19 @@ class InProcessSolver:
     """Conflict-driven clause learning solver.
 
     Two-literal watching, first-UIP learning, exponential-decay variable
-    activities with phase saving, and Luby-sequence restarts.  The assignment
-    and the watch lists are plain lists indexed by literal (after MiniSat), so
-    propagation reads a literal's value with one lookup.  Deterministic: no
-    randomized heuristics, so repeated runs give identical models.
+    activities with phase saving, and Luby-sequence restarts stepped by
+    Knuth's reluctant doubling.  The assignment and the watch lists are plain
+    lists indexed by literal (after MiniSat), so propagation reads a literal's
+    value with one lookup.  Deterministic: no randomized heuristics, so
+    repeated runs give identical models.
 
     One search answers every query on a QueryBase: it is made on the first
     query and kept in the base's slot, so learned clauses, activities and
     saved phases carry over from one query to the next, and it is freed with
     the base.  A query's assumptions are decided first, one per decision level
     (as in MiniSat); an assumption found false answers UNSAT for that query
-    alone.  A bare formula gets a search of its own.
+    alone; answered or raising, every query leaves the search at level 0.  A
+    bare formula gets a search of its own.
     """
 
     name = "builtin"
@@ -210,20 +210,6 @@ RESTART_BASE = 128  # conflicts per unit of the Luby restart sequence
 ACTIVITY_DECAY = 0.95  # older bumps weigh this much less after each conflict
 
 
-def _luby(i: int) -> int:
-    """i-th term (1-based) of the Luby restart sequence 1 1 2 1 1 2 4 ..."""
-    x = i - 1
-    size, seq = 1, 0
-    while size < x + 1:
-        seq += 1
-        size = 2 * size + 1
-    while size - 1 != x:
-        size = (size - 1) >> 1
-        seq -= 1
-        x %= size
-    return 1 << seq
-
-
 class _Search:
     def __init__(self, formula: CnfFormula) -> None:
         self.nv = formula.num_vars
@@ -241,27 +227,19 @@ class _Search:
         self.root_conflict = False  # the formula itself is UNSAT
         literals = formula.literals.tolist()
         for start, end in pairwise(formula.starts):
-            self._add_clause(sorted(set(literals[start : end - 1]), key=abs))
+            clause = sorted(set(literals[start : end - 1]), key=abs)
+            if len(set(map(abs, clause))) < len(clause):
+                continue  # tautology: without repeats, a variable seen twice has both signs
+            if len(clause) > 1:
+                self._attach(clause)
+            elif not clause or not self._enqueue(clause[0], None):
+                self.root_conflict = True  # an empty clause, or units that clash
 
-    # clause setup -------------------------------------------------------
-
-    def _add_clause(self, clause: List[int]) -> None:
-        if len(set(map(abs, clause))) < len(clause):
-            return  # tautology: without repeats, a variable seen twice has both signs
-        if not clause:
-            self.root_conflict = True
-            return
-        if len(clause) == 1:
-            if not self._enqueue(clause[0], None):
-                self.root_conflict = True
-            return
-        self._attach(clause)
+    # assignment ---------------------------------------------------------
 
     def _attach(self, clause: List[int]) -> None:
         self.watches[clause[0]].append(clause)
         self.watches[clause[1]].append(clause)
-
-    # assignment ---------------------------------------------------------
 
     def _enqueue(self, lit: int, reason: Optional[List[int]]) -> bool:
         val = self.value[lit]
@@ -387,59 +365,56 @@ class _Search:
     ) -> tuple[SolveStatus, Optional[Assignment], int, int]:
         """Status, model, conflicts and decisions of one call.
 
-        Every call leaves the trail at level 0, so the next call starts from
-        the clauses alone, the learned ones included.
+        Every call leaves the trail at level 0, whether it answers or raises,
+        so the next call starts from the clauses alone, the learned ones
+        included.  A conflict at level 0 marks the formula UNSAT for good.
         """
-        if self.root_conflict or self._propagate() is not None:
-            self.root_conflict = True
+        if self.root_conflict:
             return SolveStatus.UNSAT, None, 0, 0
-        conflicts = decisions = 0
-        restart_count = 1
-        restart_limit = RESTART_BASE * _luby(restart_count)
-        conflicts_since_restart = 0
-        while True:
-            conflict = self._propagate()
-            if conflict is not None:
-                if not self.trail_lim:
-                    self.root_conflict = True
-                    return SolveStatus.UNSAT, None, conflicts, decisions
-                conflicts += 1
-                conflicts_since_restart += 1
-                learned, back_level = self._analyze(conflict)
-                self._cancel_until(back_level)
-                if len(learned) > 1:
-                    self._attach(learned)
-                self._enqueue(learned[0], learned if len(learned) > 1 else None)
-                self.act_inc /= ACTIVITY_DECAY
-                if conflicts % 256 == 0 and deadline is not None:
-                    if time.monotonic() > deadline:
+        conflicts = decisions = conflicts_since_restart = 0
+        # Knuth's reluctant doubling: v runs through the Luby sequence 1 1 2 1 1 2 4 ...
+        u = v = 1
+        try:
+            while True:
+                conflict = self._propagate()
+                if conflict is not None:
+                    if not self.trail_lim:
+                        self.root_conflict = True
+                        return SolveStatus.UNSAT, None, conflicts, decisions
+                    conflicts += 1
+                    conflicts_since_restart += 1
+                    learned, back_level = self._analyze(conflict)
+                    self._cancel_until(back_level)
+                    if len(learned) > 1:
+                        self._attach(learned)
+                    self._enqueue(learned[0], learned if len(learned) > 1 else None)
+                    self.act_inc /= ACTIVITY_DECAY
+                    if conflicts % 256 == 0 and deadline is not None:
+                        if time.monotonic() > deadline:
+                            return SolveStatus.UNKNOWN, None, conflicts, decisions
+                    if conflicts_since_restart >= RESTART_BASE * v:
+                        u, v = (u + 1, 1) if u & -u == v else (u, 2 * v)
+                        conflicts_since_restart = 0
                         self._cancel_until(0)
-                        return SolveStatus.UNKNOWN, None, conflicts, decisions
-                if conflicts_since_restart >= restart_limit:
-                    restart_count += 1
-                    restart_limit = RESTART_BASE * _luby(restart_count)
-                    conflicts_since_restart = 0
-                    self._cancel_until(0)
-                continue
-            level = len(self.trail_lim)
-            if level < len(assumptions):
-                lit = assumptions[level]
-                if self.value[lit] < 0:
-                    self._cancel_until(0)
-                    return SolveStatus.UNSAT, None, conflicts, decisions
-                # a level of its own even when already true, so that level i
-                # always holds assumption i
+                    continue
+                level = len(self.trail_lim)
+                if level < len(assumptions):
+                    lit = assumptions[level]
+                    if self.value[lit] < 0:
+                        return SolveStatus.UNSAT, None, conflicts, decisions
+                    # a level of its own even when already true, so that level i
+                    # always holds assumption i
+                    self.trail_lim.append(len(self.trail))
+                    self._enqueue(lit, None)
+                    continue
+                var = self._pick_branch_var()
+                if var == 0:
+                    model = {x: self.value[x] > 0 for x in range(1, self.nv + 1)}
+                    return SolveStatus.SAT, model, conflicts, decisions
+                if deadline is not None and time.monotonic() > deadline:
+                    return SolveStatus.UNKNOWN, None, conflicts, decisions
+                decisions += 1
                 self.trail_lim.append(len(self.trail))
-                self._enqueue(lit, None)
-                continue
-            var = self._pick_branch_var()
-            if var == 0:
-                model = {v: self.value[v] > 0 for v in range(1, self.nv + 1)}
-                self._cancel_until(0)
-                return SolveStatus.SAT, model, conflicts, decisions
-            if deadline is not None and time.monotonic() > deadline:
-                self._cancel_until(0)
-                return SolveStatus.UNKNOWN, None, conflicts, decisions
-            decisions += 1
-            self.trail_lim.append(len(self.trail))
-            self._enqueue(var if self.saved_phase[var] else -var, None)
+                self._enqueue(var if self.saved_phase[var] else -var, None)
+        finally:
+            self._cancel_until(0)

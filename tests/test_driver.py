@@ -192,6 +192,22 @@ def test_synthesize_reports_unknown_when_the_top_probe_times_out():
     assert outcome.witness is None
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("solve_seconds", float("nan")),
+        ("solve_seconds", -1.0),
+        ("total_seconds", float("nan")),
+        ("total_seconds", -0.5),
+        ("max_operations", -1),
+    ],
+)
+def test_limits_reject_negative_and_nan_values(field, value):
+    # zero is a valid limit: the tests above run with each one at 0
+    with pytest.raises(ValueError, match=f"{field} must be at least 0"):
+        Limits(**{field: value})
+
+
 class UnknownAtDepth:
     """Delegates to the builtin solver except on one poisoned query.
 

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
+import json
 import random
+from types import SimpleNamespace
 
 import pytest
 
+import gssynth.solvers
 from gssynth.cnf import (
     CnfFormula,
     Query,
@@ -15,8 +19,9 @@ from gssynth.cnf import (
     falsified_clause,
     write_dimacs,
 )
-from gssynth.driver import Verdict, synthesize
+from gssynth.driver import Limits, Verdict, synthesize
 from gssynth.encoding import SynthesisInstance
+from gssynth.generators import erdos_renyi, ghz_target, random_D, secret_sharing_demo
 from gssynth.graphs import Graph, star_graph
 from gssynth.solvers import (
     ExternalSolver,
@@ -46,6 +51,20 @@ def random_formula(rng: random.Random) -> CnfFormula:
         f.add_clause(
             rng.choice((v, -v)) for v in rng.sample(range(1, nv + 1), min(width, nv))
         )
+    return f
+
+
+def pigeonhole(pigeons: int, holes: int) -> CnfFormula:
+    """Every pigeon in a hole, no two in one: UNSAT when pigeons > holes."""
+    f = CnfFormula(pigeons * holes)
+    var = {(p, h): p * holes + h + 1 for p in range(pigeons) for h in range(holes)}
+    f.add_clauses([var[p, h] for h in range(holes)] for p in range(pigeons))
+    f.add_clauses(
+        [-var[p, h], -var[q, h]]
+        for h in range(holes)
+        for p in range(pigeons)
+        for q in range(p + 1, pigeons)
+    )
     return f
 
 
@@ -165,14 +184,8 @@ def test_a_failed_assumption_binds_only_its_query():
 
 def test_a_formula_unsat_at_level_0_stays_unsat():
     # three pigeons, two holes: UNSAT, but only after search
-    f = CnfFormula(6)
-    hole = {(p, h): 2 * p + h + 1 for p in range(3) for h in range(2)}
-    f.add_clauses([[hole[p, 0], hole[p, 1]] for p in range(3)])
-    f.add_clauses(
-        [-hole[p, h], -hole[q, h]] for h in range(2) for p in range(3) for q in range(p + 1, 3)
-    )
     solver = InProcessSolver()
-    base = QueryBase(f)
+    base = QueryBase(pigeonhole(3, 2))
     proof = solver.solve(Query(base, ()))
     assert proof.status is SolveStatus.UNSAT and proof.conflicts > 0
     for assumptions in ((), (1,), (-1, -3)):
@@ -187,6 +200,85 @@ def test_builtin_zero_timeout_reports_unknown():
     result = InProcessSolver().solve(f, timeout=0.0)
     assert result.status is SolveStatus.UNKNOWN
     assert result.detail == "timeout"
+
+
+def count_conflicts(monkeypatch, fail_at=None) -> list:
+    """Wrap _Search._analyze to record each conflict; raise at the `fail_at`-th."""
+    seen = []
+    analyze = gssynth.solvers._Search._analyze
+
+    def counting(search, conflict):
+        seen.append(conflict)
+        if len(seen) == fail_at:
+            raise RuntimeError("fault in the search")
+        return analyze(search, conflict)
+
+    monkeypatch.setattr(gssynth.solvers._Search, "_analyze", counting)
+    return seen
+
+
+def test_builtin_times_out_between_conflicts(monkeypatch):
+    # PHP(7, 6) takes more than 256 conflicts, so the check every 256 is reached;
+    # the clock reads past the deadline only once 256 conflicts are counted
+    seen = count_conflicts(monkeypatch)
+    clock = SimpleNamespace(monotonic=lambda: 0.0 if len(seen) < 256 else 10.0)
+    monkeypatch.setattr(gssynth.solvers, "time", clock)
+    base = QueryBase(pigeonhole(7, 6))
+    result = InProcessSolver().solve(Query(base, ()), timeout=1.0)
+    assert result.status is SolveStatus.UNKNOWN and result.detail == "timeout"
+    assert result.conflicts == len(seen) == 256
+    assert base.search.trail_lim == []
+    monkeypatch.undo()
+    assert InProcessSolver().solve(Query(base, ())).status is SolveStatus.UNSAT
+
+
+@pytest.mark.parametrize("satisfiable", (False, True))
+def test_a_fault_inside_the_search_leaves_it_at_level_0(monkeypatch, satisfiable):
+    if satisfiable:
+        f = CnfFormula(30)
+        rng = random.Random(4)
+        model = [rng.random() < 0.5 for _ in range(31)]
+        while len(f.clauses) < 120:  # random 3-SAT with a planted model
+            clause = [rng.choice((v, -v)) for v in rng.sample(range(1, 31), 3)]
+            if any(model[abs(lit)] == (lit > 0) for lit in clause):
+                f.add_clause(clause)
+    else:
+        f = pigeonhole(6, 5)
+    fresh = InProcessSolver().solve(f)
+    assert fresh.conflicts > 10
+    count_conflicts(monkeypatch, fail_at=10)
+    base = QueryBase(f)
+    with pytest.raises(RuntimeError, match="fault in the search"):
+        InProcessSolver().solve(Query(base, ()))
+    assert base.search.trail_lim == [] and base.search.qhead == len(base.search.trail)
+    monkeypatch.undo()
+    again = InProcessSolver().solve(Query(base, ()))
+    assert again.status is fresh.status
+    if satisfiable:
+        assert falsified_clause(f, again.assignment) is None
+
+
+def test_builtin_search_is_pinned():
+    """The builtin's every step, as counted per probe, on a fixed set of runs.
+
+    A refactor of the search must leave this digest as it is; a change that
+    alters the search on purpose updates it and says why.
+    """
+    runs = []
+    for n, p, seed, d_size in itertools.product((3, 4), (0.3, 0.5, 0.8), range(4), (0, 2)):
+        designated = random_D(n, d_size, seed + 1) if d_size else ()
+        target = ghz_target(n, range(min(4, n)))
+        inst = SynthesisInstance(erdos_renyi(n, p, seed), target, designated)
+        runs.append((inst, Limits(max_operations=8) if d_size else Limits()))
+    runs.append((secret_sharing_demo(), Limits()))
+    probes = [
+        [[probe.num_states, probe.status.value, probe.conflicts, probe.decisions]
+         for probe in outcome.probes]
+        for outcome in (synthesize(inst, InProcessSolver(), limits) for inst, limits in runs)
+    ]
+    assert sum(map(len, probes)) == 115
+    digest = hashlib.sha256(json.dumps(probes).encode()).hexdigest()
+    assert digest == "45b99b8a5c69747089a07a7347279aa58fbe88b3d7cb742cc86db18b2e1c51c3"
 
 
 # --- backend resolution ---------------------------------------------------------
@@ -214,6 +306,19 @@ def test_resolve_explicit_spec_beats_env(monkeypatch):
 def test_resolve_rejects_missing_binary():
     with pytest.raises(SolverNotFoundError):
         resolve_backend("no-such-solver-anywhere")
+
+
+def test_a_known_solver_gets_its_flags_however_it_is_found(tmp_path, monkeypatch):
+    stub = tmp_path / "kissat"
+    stub.write_text("#!/bin/sh\necho 's UNSATISFIABLE'\n")
+    stub.chmod(0o755)
+    monkeypatch.setenv("PATH", str(tmp_path))
+    monkeypatch.delenv("GSSYNTH_SOLVER", raising=False)
+    for spec in ("kissat", str(stub), None):  # bare name, full path, PATH probe
+        backend = resolve_backend(spec)
+        assert isinstance(backend, ExternalSolver)
+        assert backend.name == "kissat"
+        assert backend.command == [str(stub), "-q"]
 
 
 def test_external_solver_requires_a_command():
