@@ -254,8 +254,9 @@ class _Search:
         return True
 
     def _cancel_until(self, target_level: int) -> None:
-        while len(self.trail_lim) > target_level:
-            mark = self.trail_lim.pop()
+        if len(self.trail_lim) > target_level:
+            mark = self.trail_lim[target_level]
+            del self.trail_lim[target_level:]
             for lit in self.trail[mark:]:
                 var = abs(lit)
                 self.saved_phase[var] = lit > 0
@@ -267,50 +268,57 @@ class _Search:
     # propagation --------------------------------------------------------
 
     def _propagate(self) -> Optional[List[int]]:
-        value = self.value
-        while self.qhead < len(self.trail):
-            false_lit = -self.trail[self.qhead]
-            self.qhead += 1
-            watchers = self.watches[false_lit]
-            kept: List[List[int]] = []
-            idx = 0
+        """Propagate the trail from qhead; return a falsified clause, if any.
+
+        Each visited watch list is compacted in place (as in MiniSat): a
+        clause that keeps watching the false literal moves down to slot j.
+        """
+        trail, value, watches = self.trail, self.value, self.watches
+        level, reason, depth = self.level, self.reason, len(self.trail_lim)
+        qhead = self.qhead
+        while qhead < len(trail):
+            false_lit = -trail[qhead]
+            qhead += 1
+            watchers = watches[false_lit]
+            i = j = 0
             total = len(watchers)
-            while idx < total:
-                clause = watchers[idx]
-                idx += 1
+            while i < total:
+                clause = watchers[i]
+                i += 1
                 if clause[0] == false_lit:
-                    clause[0], clause[1] = clause[1], clause[0]
+                    clause[0], clause[1] = clause[1], false_lit
                 first = clause[0]
-                if value[first] > 0:
-                    kept.append(clause)
+                if value[first] <= 0:
+                    for k in range(2, len(clause)):
+                        lit = clause[k]
+                        if value[lit] >= 0:
+                            clause[1], clause[k] = lit, false_lit
+                            watches[lit].append(clause)
+                            break
+                    else:
+                        watchers[j] = clause
+                        j += 1
+                        if value[first] < 0:
+                            del watchers[j:i]
+                            self.qhead = qhead
+                            return clause
+                        value[first], value[-first] = 1, -1
+                        var = abs(first)
+                        level[var], reason[var] = depth, clause
+                        trail.append(first)
                     continue
-                for k in range(2, len(clause)):
-                    if value[clause[k]] >= 0:
-                        clause[1], clause[k] = clause[k], clause[1]
-                        self.watches[clause[1]].append(clause)
-                        break
-                else:
-                    kept.append(clause)
-                    if value[first] < 0:
-                        kept.extend(watchers[idx:])
-                        self.watches[false_lit] = kept
-                        return clause
-                    self._enqueue(first, clause)
-            self.watches[false_lit] = kept
+                watchers[j] = clause
+                j += 1
+            del watchers[j:]
+        self.qhead = qhead
         return None
 
     # learning -----------------------------------------------------------
 
-    def _bump(self, var: int) -> None:
-        self.activity[var] += self.act_inc
-        if self.activity[var] > 1e100:
-            for v in range(1, self.nv + 1):
-                self.activity[v] *= 1e-100
-            self.act_inc *= 1e-100
-
     def _analyze(self, conflict: List[int]) -> tuple[List[int], int]:
         """First-UIP learned clause and the level to backjump to."""
         current = len(self.trail_lim)
+        level, activity, inc = self.level, self.activity, self.act_inc
         seen = [False] * (self.nv + 1)
         learned: List[int] = [0]  # slot 0 gets the asserting literal
         counter = 0
@@ -322,11 +330,14 @@ class _Search:
             for lit in clause:
                 var = abs(lit)
                 # the pivot literal itself drops out of the resolvent
-                if lit == pivot or seen[var] or self.level[var] == 0:
+                if lit == pivot or seen[var] or level[var] == 0:
                     continue
                 seen[var] = True
-                self._bump(var)
-                if self.level[var] == current:
+                activity[var] += inc
+                if activity[var] > 1e100:
+                    activity[:] = [a * 1e-100 for a in activity]
+                    inc *= 1e-100
+                if level[var] == current:
                     counter += 1
                 else:
                     learned.append(lit)
@@ -340,6 +351,7 @@ class _Search:
             if counter == 0:
                 break
             clause = self.reason[var]
+        self.act_inc = inc
         learned[0] = -pivot
         if len(learned) == 1:
             return learned, 0
@@ -352,12 +364,13 @@ class _Search:
     # main loop ----------------------------------------------------------
 
     def _pick_branch_var(self) -> int:
+        value, activity = self.value, self.activity
         best = 0
         best_act = -1.0
         for var in range(1, self.nv + 1):
-            if self.value[var] == 0 and self.activity[var] > best_act:
+            if value[var] == 0 and activity[var] > best_act:
                 best = var
-                best_act = self.activity[var]
+                best_act = activity[var]
         return best
 
     def run(
