@@ -11,7 +11,7 @@ Subcommands:
 
 Exit codes for synth/oracle: 0 reachable, 1 unreachable, 2 unknown.  verify
 exits 0 when the witness checks out and 1 when it does not.  Bad inputs exit
-with the usage code 64.
+with the usage code 64, and output into a pipe whose reader has gone with 141.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import os
 import sys
 from multiprocessing import Pool
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
@@ -45,6 +46,7 @@ EXIT_REACHABLE = 0
 EXIT_UNREACHABLE = 1
 EXIT_UNKNOWN = 2
 EXIT_USAGE = 64
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a reader that closed early
 
 _VERDICT_EXIT = {
     Verdict.REACHABLE: EXIT_REACHABLE,
@@ -381,7 +383,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows up here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader has gone: point stdout at devnull so the exit-time flush is quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except SystemExit as exc:
         if isinstance(exc.code, str):
             print(exc.code, file=sys.stderr)

@@ -133,8 +133,10 @@ def synthesize(
 
     Satisfiability is monotone in the number of states (identity steps pad),
     so one bisection over [1, cap + 1] states finds the smallest satisfiable
-    depth.  Its first probe is the top depth, cap + 1, whose UNSAT answer
-    alone covers every sequence of at most cap operations.  Only the top
+    depth.  Where the cap is a completeness threshold, the first probe is the
+    top depth, cap + 1, whose UNSAT answer alone settles the instance;
+    elsewhere UNSAT there proves nothing, and the bisection starts at the
+    midpoint, since models at shallow depths are found fastest.  Only the top
     depth is encoded: a probe at s states is the same formula under the
     layout's `probe_assumptions(s)`, and one solver query base serves every
     probe, letting the builtin keep what it learned.  Every model is decoded
@@ -169,7 +171,8 @@ def synthesize(
     if not out_of_time:
         formula, layout = encode_bmc(inst, top)
         base = QueryBase(formula)
-    lo, hi, num_states = 1, top, top
+    lo, hi = 1, top
+    num_states = top if sound else (lo + hi) // 2
     while lo <= hi and not out_of_time:
         timeout = limits.solve_seconds
         if deadline is not None:

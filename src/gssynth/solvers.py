@@ -172,8 +172,9 @@ class InProcessSolver:
     activities with phase saving, and Luby-sequence restarts stepped by
     Knuth's reluctant doubling.  The assignment and the watch lists are plain
     lists indexed by literal (after MiniSat), so propagation reads a literal's
-    value with one lookup.  Deterministic: no randomized heuristics, so
-    repeated runs give identical models.
+    value with one lookup and compacts each watch list in place.
+    Deterministic: no randomized heuristics, so repeated runs give identical
+    models.
 
     One search answers every query on a QueryBase: it is made on the first
     query and kept in the base's slot, so learned clauses, activities and
@@ -274,7 +275,7 @@ class _Search:
         clause that keeps watching the false literal moves down to slot j.
         """
         trail, value, watches = self.trail, self.value, self.watches
-        level, reason, depth = self.level, self.reason, len(self.trail_lim)
+        level, reason, current = self.level, self.reason, len(self.trail_lim)
         qhead = self.qhead
         while qhead < len(trail):
             false_lit = -trail[qhead]
@@ -288,27 +289,27 @@ class _Search:
                 if clause[0] == false_lit:
                     clause[0], clause[1] = clause[1], false_lit
                 first = clause[0]
-                if value[first] <= 0:
-                    for k in range(2, len(clause)):
-                        lit = clause[k]
-                        if value[lit] >= 0:
-                            clause[1], clause[k] = lit, false_lit
-                            watches[lit].append(clause)
-                            break
-                    else:
-                        watchers[j] = clause
-                        j += 1
-                        if value[first] < 0:
-                            del watchers[j:i]
-                            self.qhead = qhead
-                            return clause
-                        value[first], value[-first] = 1, -1
-                        var = abs(first)
-                        level[var], reason[var] = depth, clause
-                        trail.append(first)
+                if value[first] > 0:
+                    watchers[j] = clause
+                    j += 1
                     continue
-                watchers[j] = clause
-                j += 1
+                for k in range(2, len(clause)):
+                    lit = clause[k]
+                    if value[lit] >= 0:
+                        clause[1], clause[k] = lit, false_lit
+                        watches[lit].append(clause)
+                        break
+                else:
+                    watchers[j] = clause
+                    j += 1
+                    if value[first] < 0:
+                        del watchers[j:i]
+                        self.qhead = qhead
+                        return clause
+                    value[first], value[-first] = 1, -1
+                    var = abs(first)
+                    level[var], reason[var] = current, clause
+                    trail.append(first)
             del watchers[j:]
         self.qhead = qhead
         return None

@@ -344,3 +344,24 @@ def test_python_dash_m_smoke():
     assert proc.returncode == 0
     inst, _ = read_instance(proc.stdout)
     assert inst == secret_sharing_demo()
+
+
+@pytest.mark.parametrize("unbuffered", ("", "1"))
+def test_synth_into_a_closed_pipe_exits_141_without_a_traceback(tmp_path, unbuffered):
+    path = write_inst(tmp_path, "demo.inst", secret_sharing_demo())
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the first line is written
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "gssynth", "synth", path, "--solver", "builtin"],
+            cwd=os.path.dirname(os.path.dirname(gssynth.__file__)),
+            env={**os.environ, "PYTHONUNBUFFERED": unbuffered},
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert "Traceback" not in proc.stderr and "BrokenPipeError" not in proc.stderr

@@ -90,6 +90,21 @@ def test_synthesize_star_to_complete():
     assert outcome.probes[0].num_states == 7  # cap 6 operations, probed first
 
 
+def test_the_first_probe_is_the_top_only_where_its_unsat_is_a_proof():
+    # D empty at the threshold: UNSAT at the top depth settles the instance
+    outcome = synthesize(SynthesisInstance(STAR4, K4), InProcessSolver())
+    assert outcome.probes[0].num_states == 7
+    # with designated pairs, UNSAT at the top proves nothing: bisect [1, 9]
+    inst = SynthesisInstance(STAR4, K4, designated=((1, 2),))
+    outcome = synthesize(inst, InProcessSolver(), Limits(max_operations=8))
+    assert outcome.probes[0].num_states == 5
+    assert outcome.minimal and len(outcome.witness.operations) == 1
+    # a cap below the threshold is no proof either: bisect [1, 4]
+    outcome = synthesize(SynthesisInstance(STAR4, K4), InProcessSolver(), Limits(max_operations=3))
+    assert outcome.probes[0].num_states == 2
+    assert outcome.minimal and len(outcome.witness.operations) == 1
+
+
 def test_synthesize_equal_graphs_gives_an_empty_witness():
     g = Graph.from_edges(3, [(0, 1), (1, 2)])
     outcome = synthesize(SynthesisInstance(g, g), InProcessSolver())
@@ -131,7 +146,9 @@ def test_synthesize_never_claims_unreachable_with_designated_pairs():
     assert not reachable_bfs(inst).reachable
     outcome = synthesize(inst, InProcessSolver())
     assert outcome.verdict is Verdict.UNKNOWN
-    assert "proves nothing" in outcome.reason
+    assert outcome.reason == "unsatisfiable up to 3 operations, which proves nothing here"
+    # bisection from the midpoint climbs to the top before giving up
+    assert [p.num_states for p in outcome.probes] == [2, 3, 4]
 
 
 def test_synthesize_with_a_shallow_cap_returns_unknown():

@@ -68,6 +68,18 @@ def pigeonhole(pigeons: int, holes: int) -> CnfFormula:
     return f
 
 
+def planted_3sat() -> CnfFormula:
+    """120 random 3-clauses over 30 variables, all true under one hidden model."""
+    f = CnfFormula(30)
+    rng = random.Random(4)
+    model = [rng.random() < 0.5 for _ in range(31)]
+    while len(f.clauses) < 120:
+        clause = [rng.choice((v, -v)) for v in rng.sample(range(1, 31), 3)]
+        if any(model[abs(lit)] == (lit > 0) for lit in clause):
+            f.add_clause(clause)
+    return f
+
+
 # --- in-process solver -------------------------------------------------------
 
 
@@ -234,16 +246,7 @@ def test_builtin_times_out_between_conflicts(monkeypatch):
 
 @pytest.mark.parametrize("satisfiable", (False, True))
 def test_a_fault_inside_the_search_leaves_it_at_level_0(monkeypatch, satisfiable):
-    if satisfiable:
-        f = CnfFormula(30)
-        rng = random.Random(4)
-        model = [rng.random() < 0.5 for _ in range(31)]
-        while len(f.clauses) < 120:  # random 3-SAT with a planted model
-            clause = [rng.choice((v, -v)) for v in rng.sample(range(1, 31), 3)]
-            if any(model[abs(lit)] == (lit > 0) for lit in clause):
-                f.add_clause(clause)
-    else:
-        f = pigeonhole(6, 5)
+    f = planted_3sat() if satisfiable else pigeonhole(6, 5)
     fresh = InProcessSolver().solve(f)
     assert fresh.conflicts > 10
     count_conflicts(monkeypatch, fail_at=10)
@@ -256,6 +259,51 @@ def test_a_fault_inside_the_search_leaves_it_at_level_0(monkeypatch, satisfiable
     assert again.status is fresh.status
     if satisfiable:
         assert falsified_clause(f, again.assignment) is None
+
+
+@pytest.mark.parametrize("satisfiable", (False, True))
+def test_every_query_leaves_each_clause_watched_by_its_first_two_literals(
+    monkeypatch, satisfiable
+):
+    f = planted_3sat() if satisfiable else pigeonhole(6, 5)
+    attached = []  # every clause the search watches, learned ones included
+    attach = gssynth.solvers._Search._attach
+
+    def recording(search, clause):
+        attached.append(clause)
+        attach(search, clause)
+
+    monkeypatch.setattr(gssynth.solvers._Search, "_attach", recording)
+    base = QueryBase(f)
+    solver = InProcessSolver()
+
+    def assert_watched_exactly():
+        watches = base.search.watches
+        for clause in attached:
+            for lit in clause[:2]:
+                assert sum(c is clause for c in watches[lit]) == 1
+        assert sum(map(len, watches)) == 2 * len(attached)  # and in no other list
+
+    with monkeypatch.context() as patch:  # a timeout at the first decision after 2 conflicts
+        seen = count_conflicts(patch)
+        clock = SimpleNamespace(monotonic=lambda: 10.0 if len(seen) >= 2 else 0.0)
+        patch.setattr(gssynth.solvers, "time", clock)
+        timed_out = solver.solve(Query(base, ()), timeout=1.0)
+    assert timed_out.status is SolveStatus.UNKNOWN and timed_out.conflicts >= 2
+    assert_watched_exactly()
+    with monkeypatch.context() as patch:  # a fault raised at the next conflict but one
+        count_conflicts(patch, fail_at=2)
+        with pytest.raises(RuntimeError, match="fault in the search"):
+            solver.solve(Query(base, ()))
+    assert_watched_exactly()
+    # UNSAT under an assumption: a pigeon in the first hole, or a clause all false
+    assumptions = tuple(-lit for lit in f.clauses[0]) if satisfiable else (1,)
+    refuted = solver.solve(Query(base, assumptions))
+    assert refuted.status is SolveStatus.UNSAT
+    assert_watched_exactly()
+    answer = solver.solve(Query(base, ()))
+    assert answer.status is (SolveStatus.SAT if satisfiable else SolveStatus.UNSAT)
+    assert_watched_exactly()
 
 
 def test_builtin_search_is_pinned():
@@ -276,9 +324,9 @@ def test_builtin_search_is_pinned():
          for probe in outcome.probes]
         for outcome in (synthesize(inst, InProcessSolver(), limits) for inst, limits in runs)
     ]
-    assert sum(map(len, probes)) == 115
+    assert sum(map(len, probes)) == 114
     digest = hashlib.sha256(json.dumps(probes).encode()).hexdigest()
-    assert digest == "45b99b8a5c69747089a07a7347279aa58fbe88b3d7cb742cc86db18b2e1c51c3"
+    assert digest == "7382cece0621b309603836cba3a87e82846ee44b7cb29b59a0c757dac16b3e21"
 
 
 # --- backend resolution ---------------------------------------------------------
