@@ -388,7 +388,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return code
     except BrokenPipeError:
         # the reader has gone: point stdout at devnull so the exit-time flush is quiet
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return EXIT_BROKEN_PIPE
     except SystemExit as exc:
         if isinstance(exc.code, str):

@@ -165,7 +165,7 @@ def synthesize(
     top = cap + 1
     probes: List[DepthProbe] = []
     best: Optional[Tuple[int, Witness]] = None  # (num_states, witness), the shortest so far
-    all_unsat = True  # every probe without a model answered UNSAT
+    gave_up: Optional[str] = None  # why a probe ended with neither a model nor UNSAT
     # a spent budget stops before encoding, which costs seconds at paper scale
     out_of_time = deadline is not None and time.monotonic() >= deadline
     if not out_of_time:
@@ -200,10 +200,11 @@ def synthesize(
             # a witness of k operations settles every depth above k states
             hi = len(witness.operations)
         else:
-            all_unsat = all_unsat and result.status is SolveStatus.UNSAT
+            if result.status is not SolveStatus.UNSAT:
+                gave_up = result.detail or f"solver gave up at {num_states} states"
             lo = num_states + 1
         num_states = (lo + hi) // 2
-    minimal = best is not None and all_unsat and not out_of_time
+    minimal = best is not None and gave_up is None and not out_of_time
     if best is not None:
         verdict, reason = Verdict.REACHABLE, f"model at {best[0]} states"
         if not minimal:
@@ -212,8 +213,8 @@ def synthesize(
                 reason += " (time budget exhausted)"
     elif out_of_time:
         verdict, reason = Verdict.UNKNOWN, "time budget exhausted"
-    elif not all_unsat:
-        verdict, reason = Verdict.UNKNOWN, result.detail or "solver gave up at the top depth"
+    elif gave_up is not None:
+        verdict, reason = Verdict.UNKNOWN, gave_up
     elif sound:
         verdict = Verdict.UNREACHABLE
         reason = f"unsatisfiable at the completeness threshold ({cap} operations)"

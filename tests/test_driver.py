@@ -258,6 +258,16 @@ def test_synthesize_skips_unsolved_depths_and_drops_the_minimality_claim():
     assert [p.status for p in outcome.probes if p.num_states == 2] == [SolveStatus.UNKNOWN]
 
 
+def test_a_probe_that_gave_up_below_the_top_is_the_reason_given():
+    # bisection over [1, 4] states starts at 2, which gives up; 3 and 4 are UNSAT
+    inst = SynthesisInstance(Graph(3), Graph.from_edges(3, [(0, 2)]), designated=((0, 1),))
+    outcome = synthesize(inst, UnknownAtDepth(StepLayout(3, 4).probe_assumptions(2)))
+    assert [(p.num_states, p.status) for p in outcome.probes] == [
+        (2, SolveStatus.UNKNOWN), (3, SolveStatus.UNSAT), (4, SolveStatus.UNSAT)
+    ]
+    assert outcome.verdict is Verdict.UNKNOWN and outcome.reason == "stub timeout"
+
+
 def test_synthesize_agrees_with_the_oracle_on_random_instances():
     rng = random.Random(5)
     solver = InProcessSolver()
