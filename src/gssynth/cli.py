@@ -10,8 +10,9 @@ Subcommands:
 * bench   run a family of instances and print a result table
 
 Exit codes for synth/oracle: 0 reachable, 1 unreachable, 2 unknown.  verify
-exits 0 when the witness checks out and 1 when it does not.  Bad inputs exit
-with the usage code 64, and output into a pipe whose reader has gone with 141.
+exits 0 when the witness checks out and 1 when it does not.  Bad inputs, a
+malformed command line among them, exit with the usage code 64; a crash exits
+70 after its traceback, and output into a pipe whose reader has gone with 141.
 """
 
 from __future__ import annotations
@@ -21,10 +22,11 @@ import csv
 import io
 import os
 import sys
+import traceback
 from multiprocessing import Pool
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, NoReturn, Optional, Sequence, Tuple, Union
 
-from .driver import Limits, SynthesisOutcome, Verdict, completeness_threshold, synthesize
+from .driver import Limits, SynthesisOutcome, Verdict, synthesize
 from .encoding import encode_bmc, layout_to_text
 from .generators import (
     builtin_network_14,
@@ -46,6 +48,7 @@ EXIT_REACHABLE = 0
 EXIT_UNREACHABLE = 1
 EXIT_UNKNOWN = 2
 EXIT_USAGE = 64
+EXIT_SOFTWARE = 70  # an internal fault, never to be read as a verdict
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a reader that closed early
 
 _VERDICT_EXIT = {
@@ -78,13 +81,6 @@ def _write_output(text: Union[str, Iterable[str]], path: Optional[str]) -> None:
             raise SystemExit(f"gssynth: cannot write {path}: {exc.strerror}") from exc
 
 
-def _parse_list(text: str, option: str, convert: type) -> list:
-    try:
-        return [convert(tok) for tok in text.replace(",", " ").split()]
-    except ValueError as exc:
-        raise SystemExit(f"gssynth: bad {option} value {text!r}") from exc
-
-
 def _backend(spec: Optional[str]) -> SolverBackend:
     try:
         return resolve_backend(spec)
@@ -107,34 +103,28 @@ def _limits(args: argparse.Namespace) -> Limits:
 
 
 def _build_instance(
-    family: str,
-    n: int,
-    p: float,
-    seed: int,
-    d_size: int,
-    parties: Optional[Sequence[int]],
+    family: str, n: int, p: float, seed: int, d_size: int, parties: Optional[Sequence[int]]
 ) -> Tuple[SynthesisInstance, Dict[str, str]]:
-    if family == "er":
-        source = erdos_renyi(n, p, seed)
-        chosen = tuple(parties) if parties else tuple(range(min(4, n)))
-        target = ghz_target(n, chosen)
-        meta = {"family": "er", "n": str(n), "p": str(p), "seed": str(seed)}
-    elif family == "network":
-        topo = builtin_network_14()
-        n = topo.n
-        source = network_graph(topo, p, seed)
-        chosen = tuple(parties) if parties else topo.end_nodes
-        target = ghz_target(n, chosen)
-        meta = {"family": "network", "p": str(p), "seed": str(seed)}
-    elif family == "demo":
-        inst = secret_sharing_demo()
-        return inst, {"family": "demo"}
-    else:
-        raise SystemExit(f"gssynth: unknown family {family!r}")
-    designated = random_D(n, d_size, seed + 1) if d_size else ()
-    if d_size:
-        meta["d_size"] = str(d_size)
-    return SynthesisInstance(source, target, designated), meta
+    """The instance of a family; a value out of range is a usage error."""
+    if family == "demo":
+        return secret_sharing_demo(), {"family": "demo"}
+    try:
+        if family == "er":
+            source = erdos_renyi(n, p, seed)
+            chosen = tuple(parties) if parties else tuple(range(min(4, n)))
+            meta = {"family": "er", "n": str(n), "p": str(p), "seed": str(seed)}
+        else:
+            topo = builtin_network_14()
+            n = topo.n
+            source = network_graph(topo, p, seed)
+            chosen = tuple(parties) if parties else topo.end_nodes
+            meta = {"family": "network", "p": str(p), "seed": str(seed)}
+        if d_size:
+            meta["d_size"] = str(d_size)
+        designated = random_D(n, d_size, seed + 1) if d_size else ()
+        return SynthesisInstance(source, ghz_target(n, chosen), designated), meta
+    except ValueError as exc:
+        raise SystemExit(f"gssynth: {exc}") from exc
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
@@ -147,14 +137,10 @@ def cmd_gen(args: argparse.Namespace) -> int:
         )
     if args.family == "network" and args.n is not None:
         raise SystemExit("gssynth: the network family takes no --n")
-    parties = _parse_list(args.parties, "--parties", int) if args.parties else None
     n = 10 if args.n is None else args.n
     p = 0.8 if args.p is None else args.p
     seed = 0 if args.seed is None else args.seed
-    try:
-        inst, meta = _build_instance(args.family, n, p, seed, args.d_size, parties)
-    except ValueError as exc:
-        raise SystemExit(f"gssynth: {exc}") from exc
+    inst, meta = _build_instance(args.family, n, p, seed, args.d_size, args.parties)
     _write_output(write_instance(inst, meta), args.out)
     return 0
 
@@ -164,8 +150,6 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 def cmd_encode(args: argparse.Namespace) -> int:
     inst, _ = _read_instance_file(args.instance)
-    if args.states < 1:
-        raise SystemExit("gssynth: --states must be at least 1")
     formula, layout = encode_bmc(inst, args.states)
     # slice by slice, so the whole text is never held in memory
     _write_output(dimacs_slices(formula), args.out_prefix + ".cnf")
@@ -237,8 +221,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_oracle(args: argparse.Namespace) -> int:
     inst, _ = _read_instance_file(args.instance)
-    if args.state_cap < 1:
-        raise SystemExit("gssynth: --state-cap must be at least 1")
     try:
         result = reachable_bfs(inst, state_cap=args.state_cap)
     except StateCapExceeded as exc:
@@ -267,33 +249,23 @@ def _bench_one(task: Tuple) -> List[str]:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    for option, value in (("--seeds", args.seeds), ("--jobs", args.jobs)):
-        if value < 1:
-            raise SystemExit(f"gssynth: {option} must be at least 1")
     if args.family == "network" and args.sizes is not None:
         raise SystemExit("gssynth: the network family takes no --sizes")
-    sizes = (
-        _parse_list(args.sizes or "10", "--sizes", int)
-        if args.family == "er"
-        else [builtin_network_14().n]
-    )
-    probabilities = _parse_list(args.p, "--p", float)
+    sizes = (args.sizes or [10]) if args.family == "er" else [builtin_network_14().n]
     backend = _backend(args.solver)
     limits = _limits(args)
     timing = not args.no_timing
     # build every instance before the sweep, so a bad parameter fails at once
     tasks = []
     for n in sizes:
-        for p in probabilities:
+        for p in args.p:
             for seed in range(args.seeds):
-                try:
-                    inst, _ = _build_instance(args.family, n, p, seed, args.d_size, None)
-                except ValueError as exc:
-                    raise SystemExit(f"gssynth: {exc}") from exc
+                inst, _ = _build_instance(args.family, n, p, seed, args.d_size, None)
                 row = [args.family, str(inst.n), str(p), str(seed), str(args.d_size)]
                 tasks.append((row, inst, backend, limits, timing))
-    if args.jobs > 1:
-        with Pool(args.jobs) as pool:
+    jobs = min(args.jobs, len(tasks))  # no idle workers
+    if jobs > 1:
+        with Pool(jobs) as pool:
             rows = pool.map(_bench_one, tasks)
     else:
         rows = [_bench_one(task) for task in tasks]
@@ -301,9 +273,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if timing:
         header.append("solver_seconds")
     buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
+    csv.writer(buffer, lineterminator="\n").writerows([header, *rows])
     _write_output(buffer.getvalue(), args.out)
     return 0
 
@@ -311,8 +281,32 @@ def cmd_bench(args: argparse.Namespace) -> int:
 # --- parser ----------------------------------------------------------------------
 
 
+def _count(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {value}")
+    return value
+
+
+_count.__name__ = "count"  # argparse names a converter in its messages
+
+
+def _list_of(convert: type) -> Callable[[str], list]:
+    def parse(text: str) -> list:
+        return [convert(tok) for tok in text.replace(",", " ").split()]
+    parse.__name__ = f"{convert.__name__} list"  # "invalid int list value: 'x'"
+    return parse
+
+
+class _Parser(argparse.ArgumentParser):
+    """Every malformed command line takes the usage path of `main`: exit 64."""
+
+    def error(self, message: str) -> NoReturn:
+        raise SystemExit(f"gssynth: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gssynth",
         description="Synthesize transformations between graph states with SAT.",
     )
@@ -326,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--seed", type=int, help="er and network (default 0)")
     gen.add_argument("--d-size", type=int, default=0,
                      help="number of designated pairs (drawn with seed+1)")
-    gen.add_argument("--parties",
+    gen.add_argument("--parties", type=_list_of(int),
                      help="comma separated party vertices for the target "
                           "(default: first min(4, n) vertices, or the end nodes "
                           "for the network family)")
@@ -335,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     enc = sub.add_parser("encode", help="emit DIMACS and a layout sidecar")
     enc.add_argument("instance")
-    enc.add_argument("--states", type=int, required=True,
+    enc.add_argument("--states", type=_count, required=True,
                      help="states in the unrolling (operations + 1)")
     enc.add_argument("--out-prefix", required=True)
     enc.set_defaults(func=cmd_encode)
@@ -358,20 +352,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     orc = sub.add_parser("oracle", help="breadth-first reference search")
     orc.add_argument("instance")
-    orc.add_argument("--state-cap", type=int, default=DEFAULT_STATE_CAP)
+    orc.add_argument("--state-cap", type=_count, default=DEFAULT_STATE_CAP)
     orc.set_defaults(func=cmd_oracle)
 
     ben = sub.add_parser("bench", help="run an instance family and tabulate results")
     ben.add_argument("--family", choices=("er", "network"), required=True)
-    ben.add_argument("--sizes", help="comma separated n values (er; default 10)")
-    ben.add_argument("--p", default="0.8", help="comma separated probabilities")
-    ben.add_argument("--seeds", type=int, default=3, help="seeds 0..k-1")
+    ben.add_argument("--sizes", type=_list_of(int),
+                     help="comma separated n values (er; default 10)")
+    ben.add_argument("--p", type=_list_of(float), default="0.8",
+                     help="comma separated probabilities")
+    ben.add_argument("--seeds", type=_count, default=3, help="seeds 0..k-1")
     ben.add_argument("--d-size", type=int, default=0)
     ben.add_argument("--solver")
     ben.add_argument("--solve-timeout", type=float)
     ben.add_argument("--budget", type=float)
     ben.add_argument("--max-ops", type=int)
-    ben.add_argument("--jobs", type=int, default=1)
+    ben.add_argument("--jobs", type=_count, default=1)
     ben.add_argument("--no-timing", action="store_true",
                      help="omit the seconds column for byte-reproducible output")
     ben.add_argument("--out", help="output file (default stdout)")
@@ -380,9 +376,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe shows up here, not at interpreter exit
         return code
@@ -397,6 +392,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(exc.code, file=sys.stderr)
             return EXIT_USAGE
         raise
+    except Exception:
+        traceback.print_exc()
+        return EXIT_SOFTWARE
 
 
 if __name__ == "__main__":

@@ -208,7 +208,8 @@ def parse_model(output: str, num_vars: int) -> Tuple[SolveStatus, Optional[Assig
 
     ANSI color escapes are stripped first; some solvers colorize the status
     line.  On SAT, variables the solver leaves unmentioned default to false so
-    the returned assignment is total over 1..num_vars.
+    the returned assignment is total over 1..num_vars.  A "v" line holding
+    anything but integers raises ValueError, naming the line.
     """
     status = SolveStatus.UNKNOWN
     values: List[int] = []
@@ -222,7 +223,10 @@ def parse_model(output: str, num_vars: int) -> Tuple[SolveStatus, Optional[Assig
             elif verdict == "UNSATISFIABLE":
                 status = SolveStatus.UNSAT
         elif line.startswith("v ") or line == "v":
-            values.extend(int(tok) for tok in line[1:].split())
+            try:
+                values.extend(int(tok) for tok in line[1:].split())
+            except ValueError:
+                raise ValueError(f"malformed model line {line!r}") from None
     if status is not SolveStatus.SAT:
         return status, None
     assignment: Assignment = {v: False for v in range(1, num_vars + 1)}

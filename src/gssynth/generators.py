@@ -61,9 +61,6 @@ class NetworkTopology:
     def n(self) -> int:
         return len(self.names)
 
-    def index_of(self, name: str) -> int:
-        return self.names.index(name)
-
 
 def hop_counts(topo: NetworkTopology) -> List[List[int]]:
     """All-pairs link distance; -1 where disconnected."""

@@ -81,9 +81,6 @@ class Graph:
     def edges(self) -> list[Edge]:
         return [e for i, e in enumerate(pairs(self.n)) if self.bits >> i & 1]
 
-    def edge_count(self) -> int:
-        return bin(self.bits).count("1")
-
     def toggled(self, toggle_pairs: Iterable[Edge]) -> "Graph":
         """Graph with every listed pair flipped."""
         mask = 0

@@ -73,9 +73,10 @@ class ExternalSolver:
     assumptions are written as unit clauses after the formula, and the text
     goes to the file slice by slice, never whole in memory.  Only the
     "s"/"v" lines are read; without a verdict, the exit code and the last
-    line on stderr go into the result's detail.  A model is checked against
-    the formula and the assumptions, and one that falsifies a clause is
-    answered UNKNOWN with that clause in the detail.
+    line on stderr go into the result's detail.  Bytes that are not UTF-8
+    are read as U+FFFD.  A model is checked against the formula and the
+    assumptions; a malformed "v" line, or a model that falsifies a clause, is
+    answered UNKNOWN with that line or clause in the detail.
     """
 
     def __init__(self, command: Sequence[str]) -> None:
@@ -84,7 +85,8 @@ class ExternalSolver:
         resolved = shutil.which(command[0])
         if resolved is None:
             raise SolverNotFoundError(f"solver binary {command[0]!r} not on PATH")
-        self.command = [resolved, *command[1:]]
+        # absolute, because the solver runs in a scratch directory
+        self.command = [os.path.abspath(resolved), *command[1:]]
         self.name = os.path.basename(command[0])
 
     def solve(
@@ -102,6 +104,7 @@ class ExternalSolver:
                     cwd=tmp,
                     capture_output=True,
                     text=True,
+                    errors="replace",
                     timeout=timeout,
                 )
             except subprocess.TimeoutExpired:
@@ -111,7 +114,10 @@ class ExternalSolver:
                     time.monotonic() - start,
                     detail="timeout",
                 )
-            status, assignment = parse_model(proc.stdout, query.formula.num_vars)
+            try:
+                status, assignment = parse_model(proc.stdout, query.formula.num_vars)
+            except ValueError as exc:  # a malformed model is no answer
+                return SolveResult(SolveStatus.UNKNOWN, None, time.monotonic() - start, str(exc))
         detail = ""
         if status is SolveStatus.UNKNOWN:
             # no verdict: keep what the solver said about why

@@ -9,8 +9,10 @@ import sys
 import pytest
 
 import gssynth
+import gssynth.cli
 from gssynth.cli import main
 from gssynth.cnf import write_dimacs
+from gssynth.driver import EncodingSoundnessError
 from gssynth.encoding import SynthesisInstance, encode_bmc, layout_to_text
 from gssynth.generators import read_instance, secret_sharing_demo, write_instance
 from gssynth.graphs import Graph, pair_count, star_graph
@@ -201,6 +203,28 @@ def test_synth_reports_bad_instance_files(tmp_path, capsys):
     assert "bad instance file" in capsys.readouterr().err
 
 
+def test_verify_reports_bad_witness_files(tmp_path, capsys):
+    inst = write_inst(tmp_path, "star.inst", SynthesisInstance(STAR4, K4))
+    assert main(["verify", inst, str(tmp_path / "nope.witness")]) == 64
+    assert capsys.readouterr().err.startswith("gssynth: cannot read")
+
+    unknown_op = tmp_path / "xx.witness"
+    unknown_op.write_text("XX 1\n")
+    assert main(["verify", inst, str(unknown_op)]) == 64
+    assert capsys.readouterr().err.startswith("gssynth: bad witness file")
+
+
+def test_a_crash_exits_70_with_its_traceback(tmp_path, capsys, monkeypatch):
+    def crash(*args):
+        raise EncodingSoundnessError("replayed witness misses the target")
+
+    monkeypatch.setattr(gssynth.cli, "synthesize", crash)
+    inst = write_inst(tmp_path, "star.inst", SynthesisInstance(STAR4, K4))
+    assert main(["synth", inst]) == 70
+    err = capsys.readouterr().err
+    assert err.startswith("Traceback") and "EncodingSoundnessError" in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -236,8 +260,17 @@ def test_synth_reports_bad_instance_files(tmp_path, capsys):
         ["bench", "--family", "er", "--sizes", "4", "--jobs", "0"],
         ["bench", "--family", "er", "--sizes", "4", "--jobs", "-3"],
         ["bench", "--family", "network", "--sizes", "5,6"],
+        # malformed command lines, rejected by the parser
+        [],
+        ["nosuch"],
+        ["synth"],
+        ["gen", "--family", "foo"],
+        ["gen", "--family", "er", "--n", "abc"],
+        ["synth", "STAR", "--budget", "abc"],
+        ["encode", "STAR", "--states", "x", "--out-prefix", "PREFIX"],
+        ["bench", "--family", "demo"],
     ],
-    ids="-".join,
+    ids=lambda argv: "-".join(argv) or "no-arguments",
 )
 def test_bad_values_exit_with_the_usage_code(tmp_path, capsys, argv):
     zero = tmp_path / "zero.inst"
@@ -321,11 +354,30 @@ def test_bench_default_output_includes_timing(tmp_path):
     assert header.endswith(",solver_seconds")
 
 
-def test_bench_rejects_the_demo_family(capsys):
-    # argparse rejects unknown family choices before cmd_bench runs
-    with pytest.raises(SystemExit):
-        main(["bench", "--family", "demo"])
-    capsys.readouterr()
+def test_bench_starts_no_more_workers_than_instances(tmp_path, monkeypatch):
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, func, tasks):
+            return [func(task) for task in tasks]
+
+    monkeypatch.setattr(gssynth.cli, "Pool", InProcessPool)
+    base = ["bench", "--family", "er", "--sizes", "3", "--p", "0.3", "--solver", "builtin",
+            "--no-timing", "--jobs", "8"]
+    assert main([*base, "--seeds", "2", "--out", str(tmp_path / "two.csv")]) == 0
+    assert sizes == [2]
+    assert main([*base, "--seeds", "1", "--out", str(tmp_path / "one.csv")]) == 0
+    assert sizes == [2]  # one instance runs without a pool
+    assert len((tmp_path / "two.csv").read_text().splitlines()) == 3
 
 
 # --- module entry point --------------------------------------------------------------------

@@ -43,7 +43,7 @@ def test_er_rejects_bad_probability():
 
 def test_er_mean_edge_count_matches_the_binomial():
     n, p, trials = 10, 0.8, 10_000
-    total = sum(erdos_renyi(n, p, seed).edge_count() for seed in range(trials))
+    total = sum(len(erdos_renyi(n, p, seed).edges()) for seed in range(trials))
     mean = total / trials
     expected = p * pair_count(n)  # 36
     # per-draw std sqrt(45*0.8*0.2) = 2.683..., 3 sigma of the mean over 10k
@@ -60,7 +60,7 @@ def test_builtin_topology_shape():
     assert len(topo.names) == 14
     assert len(topo.edges) == 16
     assert len(topo.end_nodes) == 4
-    assert topo.index_of("delft") == 0
+    assert topo.names.index("delft") == 0
     assert [topo.names[e] for e in topo.end_nodes] == [
         "delft",
         "groningen",
@@ -117,7 +117,7 @@ def test_network_graph_extremes():
     assert network_graph(topo, 0.0, 5) == Graph(14)
     full = network_graph(topo, 1.0, 5)
     # p=1 connects every pair in the same component; the ring is connected
-    assert full.edge_count() == pair_count(14)
+    assert len(full.edges()) == pair_count(14)
 
 
 def test_network_graph_adjacent_pair_frequency_matches_p_squared():

@@ -65,7 +65,7 @@ def test_from_edges_round_trips_and_orders():
     assert g.edges() == [(0, 2), (1, 3)]
     assert g.has_edge(1, 3) and g.has_edge(3, 1)
     assert not g.has_edge(0, 1)
-    assert g.edge_count() == 2
+    assert len(g.edges()) == 2
 
 
 def test_graph_rejects_out_of_range_bits():

@@ -446,6 +446,33 @@ def test_external_solver_checks_a_model_against_formula_and_assumptions(tmp_path
     assert right.assignment == {1: True, 2: False, 3: True}
 
 
+def test_external_solver_answers_unknown_for_a_malformed_model_line(tmp_path):
+    f = CnfFormula(2)
+    f.add_clauses([[1], [-2]])
+    result = stub_solver(tmp_path, "s SATISFIABLE\nv 1 -2 x 0\n").solve(f)
+    assert result.status is SolveStatus.UNKNOWN and result.assignment is None
+    assert result.detail == "malformed model line 'v 1 -2 x 0'"
+
+
+def test_external_solver_reads_output_that_is_not_utf8(tmp_path):
+    script = tmp_path / "byte-solver"
+    script.write_text("#!/bin/sh\nprintf 'c \\377\\ns UNSATISFIABLE\\n'\n")
+    script.chmod(0o755)
+    f = CnfFormula(1)
+    f.add_clauses([[1], [-1]])
+    assert ExternalSolver([str(script)]).solve(f).status is SolveStatus.UNSAT
+
+
+def test_external_solver_runs_from_a_relative_path(tmp_path, monkeypatch):
+    stub_solver(tmp_path, "s UNSATISFIABLE\n")
+    monkeypatch.chdir(tmp_path)
+    backend = ExternalSolver(["./stub-solver"])
+    assert backend.command == [str(tmp_path / "stub-solver")]
+    f = CnfFormula(1)
+    f.add_clauses([[1], [-1]])
+    assert backend.solve(f).status is SolveStatus.UNSAT
+
+
 # --- external solver (only when one is installed) ----------------------------------
 
 
