@@ -293,7 +293,10 @@ _count.__name__ = "count"  # argparse names a converter in its messages
 
 def _list_of(convert: type) -> Callable[[str], list]:
     def parse(text: str) -> list:
-        return [convert(tok) for tok in text.replace(",", " ").split()]
+        values = [convert(tok) for tok in text.replace(",", " ").split()]
+        if not values:
+            raise argparse.ArgumentTypeError("needs at least one value")
+        return values
     parse.__name__ = f"{convert.__name__} list"  # "invalid int list value: 'x'"
     return parse
 

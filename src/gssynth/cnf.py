@@ -10,6 +10,7 @@ from __future__ import annotations
 import enum
 import re
 import struct
+import sys
 from array import array
 from bisect import bisect_left
 from collections.abc import Sequence
@@ -35,7 +36,7 @@ class CnfFormula:
     `literals` holds every clause back to back, each ended by 0, and clause i
     is `literals[starts[i]:starts[i + 1] - 1]`; `starts` ends with the length
     of `literals`.  The variable range is declared up front; add_clauses and
-    add_renumbered reject literals outside it so encoding bugs surface at
+    add_shifted reject literals outside it so encoding bugs surface at
     construction time instead of as silently-free solver variables.
     """
 
@@ -76,35 +77,46 @@ class CnfFormula:
         self.literals.frombytes(struct.pack(f"{len(flat)}i", *flat))
         self.starts.fromlist(next_starts)
 
-    def add_renumbered(self, first: int, end: int, tables: Iterable[Sequence[Literal]]) -> None:
-        """Append, per table, a copy of clauses first..end-1 with each lit as table[lit].
+    def add_shifted(self, first: int, end: int, shifts: Sequence[int], copies: int) -> None:
+        """Append copies 1..copies of clauses first..end-1, copy c moving v to v + c*shifts[v].
 
-        A table is indexed by literal like `write_dimacs`' words: 2*num_vars+1
-        entries, -v landing at 2*num_vars+1-v.  Each must map 0, and only 0, to
-        0, and stay within ±num_vars; if one is bad, nothing is appended.
+        Each literal keeps its sign.  `shifts` has num_vars+1 entries, none
+        negative, and shifts[0] = 0 keeps the terminators; no variable may move
+        past num_vars in the last copy.  If a check fails, nothing is appended.
         """
-        nv = self.num_vars
-        tables = tables if isinstance(tables, list) else list(tables)
+        nv, size = self.num_vars, self.literals.itemsize
         if not 0 <= first <= end < len(self.starts):
             raise ValueError(f"clause range {first}..{end} out of range")
-        for table in tables:
-            if len(table) != 2 * nv + 1:
-                raise ValueError(f"renumbering table needs {2 * nv + 1} entries, not {len(table)}")
-            if table[0] != 0 or table.count(0) != 1:
-                raise ValueError("renumbering table must map 0, and only 0, to 0")
-            low, high = min(table), max(table)
-            if low < -nv or high > nv:
-                bad = low if low < -nv else high
-                raise ValueError(f"literal {bad} outside declared range 1..{nv}")
+        if len(shifts) != nv + 1:
+            raise ValueError(f"need {nv + 1} shifts, not {len(shifts)}")
+        if shifts[0] != 0 or min(shifts) < 0 or copies < 0:
+            raise ValueError("shifts[0] must be 0, and no shift or copy count negative")
+        top = max((v + copies * s for v, s in enumerate(shifts) if s), default=0)
+        if top > min(nv, (1 << 8 * size - 1) - 1):
+            raise ValueError(f"literal {top} outside declared range 1..{nv}")
         start, stop = self.starts[first], self.starts[end]
-        block = self.literals[start:stop].tolist()
-        ends = [s - start for s in self.starts[first + 1 : end + 1]]
-        for table in tables:
-            base = len(self.literals)
-            # mapping a list and packing once beats mapping into an array
-            copy = list(map(table.__getitem__, block))
-            self.literals.frombytes(struct.pack(f"{len(copy)}i", *copy))
-            self.starts.fromlist([base + s for s in ends])
+        block = self.literals[start:stop]
+        # A copy is one addition to the block read as one big integer of
+        # unsigned fields.  No field carries: a positive literal v grows, and a
+        # negative one (2**32 - v) shrinks, without crossing 2**31.  The step is
+        # the positive literals' shifts minus the negative ones', as a negative
+        # field would borrow from its neighbour.
+        order, width, lits = sys.byteorder, len(block) * size, block.tolist()
+        up = [*shifts, *[0] * nv]  # indexed by literal: -v lands at 2*nv+1-v
+        down = [*[0] * (nv + 1), *shifts[:0:-1]]
+        step = int.from_bytes(struct.pack(f"{len(lits)}i", *map(up.__getitem__, lits)), order)
+        step -= int.from_bytes(struct.pack(f"{len(lits)}i", *map(down.__getitem__, lits)), order)
+        field = int.from_bytes(block.tobytes(), order)
+        # copy c's clause ends, likewise as 8-byte fields, each len(block) past c-1's
+        base = len(self.literals) - start
+        ends = array("q", [base + s for s in self.starts[first + 1 : end + 1]])
+        advance = len(block) * int.from_bytes(array("q", [1] * len(ends)).tobytes(), order)
+        ends_field, ends_width = int.from_bytes(ends.tobytes(), order), len(ends) * ends.itemsize
+        for _ in range(copies):
+            field += step
+            self.literals.frombytes(field.to_bytes(width, order))
+            self.starts.frombytes(ends_field.to_bytes(ends_width, order))
+            ends_field += advance
 
 
 class ClauseView(Sequence):

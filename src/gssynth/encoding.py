@@ -37,10 +37,10 @@ num_states - 1 operations.
 
 Every transition carries the same relation over its own variables, so
 `encode_bmc` builds only transition 0 with `encode_transition` and appends
-each later transition t as a renumbered copy of transition 0's literals: edge
+each later transition t as a shifted copy of transition 0's literals: edge
 variables move t*P on, selector variables t selector blocks on
-(`CnfFormula.add_renumbered`, one table lookup per literal).  The clauses are
-exactly those `encode_transition(inst, t, layout)` would build.
+(`CnfFormula.add_shifted`, one big-integer addition per copy).  The clauses
+are exactly those `encode_transition(inst, t, layout)` would build.
 """
 
 from __future__ import annotations
@@ -282,33 +282,15 @@ def encode_bmc(inst: SynthesisInstance, num_states: int) -> Tuple[CnfFormula, St
         first = len(formula.clauses)
         formula.add_clauses(encode_transition(inst, 0, layout))
         end = len(formula.clauses)
-        formula.add_renumbered(first, end, _renumberings(layout))
+        # transition t is transition 0 with each of its variables t steps on
+        shifts = [0] * (layout.total_vars + 1)
+        for var in layout.state_vars(0) + layout.state_vars(1):
+            shifts[var] = layout.pairs_per_state
+        for var in layout.y_vars(0) + layout.z_vars(0):
+            shifts[var] = layout.selector_block
+        formula.add_shifted(first, end, shifts, layout.num_transitions - 1)
     formula.add_clauses(encode_graph_constraint(inst.target, num_states - 1, layout))
     return formula, layout
-
-
-def _transition_vars(layout: StepLayout, t: int) -> List[int]:
-    """Every variable transition t's clauses use, in a fixed order."""
-    return layout.state_vars(t) + layout.state_vars(t + 1) + layout.y_vars(t) + layout.z_vars(t)
-
-
-def _renumberings(layout: StepLayout) -> List[List[int]]:
-    """Per transition t >= 1, a table moving transition 0's variables to t's.
-
-    A table is indexed by literal, -v landing at 2*total_vars+1-v; variables
-    outside transition 0 map to themselves.
-    """
-    nv = layout.total_vars
-    identity = list(range(nv + 1)) + list(range(-nv, 0))
-    first = _transition_vars(layout, 0)
-    tables = []
-    for t in range(1, layout.num_transitions):
-        table = identity.copy()
-        for old, new in zip(first, _transition_vars(layout, t)):
-            table[old] = new
-            table[-old] = -new
-        tables.append(table)
-    return tables
 
 
 class TransitionBound(NamedTuple):

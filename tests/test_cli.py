@@ -260,6 +260,10 @@ def test_a_crash_exits_70_with_its_traceback(tmp_path, capsys, monkeypatch):
         ["bench", "--family", "er", "--sizes", "4", "--jobs", "0"],
         ["bench", "--family", "er", "--sizes", "4", "--jobs", "-3"],
         ["bench", "--family", "network", "--sizes", "5,6"],
+        ["gen", "--family", "er", "--parties", ""],
+        ["gen", "--family", "er", "--parties", " , "],
+        ["bench", "--family", "er", "--sizes", "4", "--p", ""],
+        ["bench", "--family", "er", "--sizes", ""],
         # malformed command lines, rejected by the parser
         [],
         ["nosuch"],

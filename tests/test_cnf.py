@@ -48,41 +48,70 @@ def test_a_rejected_batch_appends_nothing():
     assert write_dimacs(f) == "p cnf 2 0\n"
 
 
-def test_add_renumbered_copies_a_clause_range():
-    f = CnfFormula(4)
-    f.add_clauses([[1], [1, -2], [], [2]])
-    # 1 -> 3, 2 -> -4, 3 -> 1, 4 -> -2; -v is at index 9 - v
-    table = [0, 3, -4, 1, -2, 2, -1, 4, -3]
-    identity = [0, 1, 2, 3, 4, -4, -3, -2, -1]
-    f.add_renumbered(1, 3, [table, identity])
-    assert [list(c) for c in f.clauses] == [[1], [1, -2], [], [2], [3, 4], [], [1, -2], []]
-    assert write_dimacs(f) == "p cnf 4 8\n1 0\n1 -2 0\n0\n2 0\n3 4 0\n0\n1 -2 0\n0\n"
-    f.add_renumbered(0, 0, [table])  # an empty range
-    f.add_renumbered(0, 4, [])  # no table
-    f.add_renumbered(4, 5, iter([identity]))  # read once
-    assert [list(c) for c in f.clauses][8:] == [[3, 4]]
-
-
-def test_a_rejected_renumbering_appends_nothing():
-    f = CnfFormula(2)
-    f.add_clauses([[1, -2], [2]])
+def test_add_shifted_copies_a_clause_range():
+    f = CnfFormula(8)
+    f.add_clauses([[1], [1, -2, -8], [], [2], [-3, 4]])
+    shifts = [0, 2, 1, 0, 1, 0, 0, 0, 0]  # 1 moves 2 a copy, 2 and 4 move 1, the rest stay
+    f.add_shifted(1, 4, shifts, 2)  # a clause with a negative literal, an empty one and a unit
+    old = [[1], [1, -2, -8], [], [2], [-3, 4]]
+    assert [list(c) for c in f.clauses] == old + [[3, -3, -8], [], [3], [5, -4, -8], [], [4]]
+    assert write_dimacs(f).endswith("-3 4 0\n3 -3 -8 0\n0\n3 0\n5 -4 -8 0\n0\n4 0\n")
     literals, starts = f.literals.tolist(), f.starts.tolist()
-    bad_tables = {
-        "literal 3 ": [0, 3, 2, -2, -1],  # beyond num_vars
-        "literal -3 ": [0, 1, 2, -2, -3],
-        "only 0, to 0": [0, 1, 0, -2, -1],  # a literal to the terminator
-        "map 0": [1, 1, 2, -2, -1],  # the terminator to a literal
-        "needs 5 entries": [0, 1, 2, -1],
-    }
-    good = [0, 2, 1, -1, -2]
-    for message, table in bad_tables.items():
+    f.add_shifted(0, 5, shifts, 0)  # no copy
+    f.add_shifted(2, 2, shifts, 3)  # an empty range
+    assert f.literals.tolist() == literals and f.starts.tolist() == starts
+    f.add_shifted(10, 11, tuple(shifts), 1)  # the last clause, shifts as a tuple
+    assert list(f.clauses[-1]) == [5] and f.starts[-1] == len(f.literals)
+
+
+def test_a_rejected_shift_appends_nothing():
+    f = CnfFormula(5)
+    f.add_clauses([[-1, 2], [3]])
+    literals, starts = f.literals.tolist(), f.starts.tolist()
+    good = [0, 2, 0, 1, 0, 0]
+    bad_calls = [
+        ("literal 7 ", (0, 2, good, 3)),  # -1 lands on -7 in the third copy
+        ("literal 6 ", (0, 2, [0, 0, 0, 0, 0, 1], 1)),  # even a variable no clause uses
+        ("need 6 shifts", (0, 2, good[:-1], 1)),
+        ("negative", (0, 2, [0, 2, -1, 1, 0, 0], 1)),
+        (r"shifts\[0\]", (0, 2, [1, 2, 0, 1, 0, 0], 1)),
+        ("copy count", (0, 2, good, -1)),
+        ("clause range 1..3", (1, 3, good, 1)),
+        ("clause range 2..1", (2, 1, good, 1)),
+        ("clause range -1..1", (-1, 1, good, 1)),
+    ]
+    for message, call in bad_calls:
         with pytest.raises(ValueError, match=message):
-            f.add_renumbered(0, 2, [good, table])  # a bad later table stops the first
+            f.add_shifted(*call)
         assert f.literals.tolist() == literals and f.starts.tolist() == starts
-    for first, end in ((1, 3), (2, 1), (-1, 1)):
-        with pytest.raises(ValueError, match="clause range"):
-            f.add_renumbered(first, end, [good])
-        assert f.literals.tolist() == literals and f.starts.tolist() == starts
+    f.add_shifted(0, 1, good, 2)  # -1 lands exactly on -5 in the last copy
+    assert [list(c) for c in f.clauses][2:] == [[-3, 2], [-5, 2]]
+
+
+def test_add_shifted_matches_a_per_literal_reference():
+    # literals of both signs near the ends of a range of more than 2**20
+    # variables, so every byte of a field and a borrow between fields matter
+    rng = random.Random(7)
+    nv, copies = (1 << 20) + 12345, 3
+    shifts = [0] * (nv + 1)
+    variables = rng.sample(range(nv - 3000, nv + 1), 600) + rng.sample(range(1, nv + 1), 600)
+    for var in variables:
+        shifts[var] = rng.randint(0, (nv - var) // copies)
+    clauses = [
+        [rng.choice((1, -1)) * rng.choice(variables) for _ in range(rng.randint(0, 6))]
+        for _ in range(800)
+    ]
+    f = CnfFormula(nv)
+    f.add_clauses(clauses)
+    f.add_shifted(100, 700, shifts, copies)
+
+    def moved(lit, c):
+        var = abs(lit) + c * shifts[abs(lit)]
+        return var if lit > 0 else -var
+
+    copied = [[moved(lit, c) for lit in clause] for c in (1, 2, 3) for clause in clauses[100:700]]
+    assert [list(c) for c in f.clauses] == clauses + copied
+    assert f.starts[-1] == len(f.literals)
 
 
 def test_query_rejects_assumptions_outside_the_formula():

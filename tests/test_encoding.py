@@ -437,12 +437,14 @@ def reference_bmc_clauses(inst: SynthesisInstance, num_states: int):
 
 @pytest.mark.parametrize(
     "n, sizes, state_counts",
-    # n = 1 has no pairs and n = 2 one; n = 16 has 5-bit selectors
-    [(n, {0, 1, n * (n - 1) // 4}, range(1, 5)) for n in range(1, 7)] + [(16, {2}, (3,))],
+    # n = 1 has no pairs and n = 2 one; n = 16 has 5-bit selectors; n = 17 is
+    # the paper's largest size
+    [(n, {0, 1, n * (n - 1) // 4}, range(1, 5)) for n in range(1, 7)]
+    + [(16, {2}, (3,)), (17, {2}, (3,))],
     ids=lambda value: str(value) if isinstance(value, int) else None,
 )
 def test_bmc_matches_the_transition_by_transition_reference(n, sizes, state_counts):
-    # encode_bmc builds only transition 0 and renumbers it for the others
+    # encode_bmc builds only transition 0 and appends shifted copies for the others
     rng = random.Random(n)
     for size in sorted(size for size in sizes if size <= pair_count(n)):
         source = Graph(n, rng.getrandbits(pair_count(n)))
