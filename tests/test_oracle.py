@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import hashlib
 import sys
 from pathlib import Path
 
@@ -13,9 +14,11 @@ import gssynth.graphs
 import gssynth.oracle
 
 from gssynth.encoding import SynthesisInstance
+from gssynth.generators import erdos_renyi, ghz_target, random_D, secret_sharing_demo
 from gssynth.graphs import (
     Graph,
     Operation,
+    all_graphs,
     local_complement,
     pair_count,
     star_graph,
@@ -112,6 +115,45 @@ def test_reachable_set_with_and_without_vd():
 def test_reachable_set_cap():
     with pytest.raises(StateCapExceeded):
         reachable_set(complete_graph(5), state_cap=3)
+
+
+def test_reachable_bfs_answers_are_pinned():
+    # every (verdict, shortest sequence, explored) on the criterion-3 grid with
+    # both D sizes, plus the demo, hashed: a rewrite of the search must not move one
+    digest = hashlib.sha256()
+    instances = [
+        SynthesisInstance(
+            erdos_renyi(n, p, seed),
+            ghz_target(n, range(min(4, n))),
+            random_D(n, d_size, seed + 1) if d_size else (),
+        )
+        for n in (3, 4, 5)
+        for p in (0.3, 0.5, 0.8)
+        for seed in range(12)
+        for d_size in (0, 2)
+    ]
+    for inst in [*instances, secret_sharing_demo()]:
+        result = reachable_bfs(inst)
+        ops = None if result.shortest is None else ",".join(map(str, result.shortest))
+        digest.update(f"{result.reachable}|{ops}|{result.explored}\n".encode())
+    assert digest.hexdigest() == (
+        "3be48000242c58a2f92603165cd96480cb9e61ecdde8e672bc6eb42485242536"
+    )
+
+
+def test_reachable_set_answers_are_pinned():
+    # the closure of every graph on 2 to 4 vertices, with and without a
+    # designated pair and with and without VD, hashed
+    digest = hashlib.sha256()
+    for n in (2, 3, 4):
+        for g in all_graphs(n):
+            for designated in ((), ((0, 1),)):
+                for include_vd in (True, False):
+                    closure = reachable_set(g, designated, include_vd=include_vd)
+                    digest.update(f"{sorted(h.bits for h in closure)}\n".encode())
+    assert digest.hexdigest() == (
+        "4bf49381d7aa7b18a733be2b06c508eaab85e51cd44e2242e7a64ad78e0564ab"
+    )
 
 
 def test_the_oracle_imports_only_graphs_and_the_standard_library():
