@@ -337,14 +337,16 @@ def build_parser() -> argparse.ArgumentParser:
     enc.add_argument("--out-prefix", required=True)
     enc.set_defaults(func=cmd_encode)
 
-    syn = sub.add_parser("synth", help="decide reachability and print a witness")
+    search = argparse.ArgumentParser(add_help=False)
+    search.add_argument("--solver",
+                        help=f"solver command, or 'builtin' (default: ${SOLVER_ENV_VAR}, "
+                             "then a known solver on PATH, then builtin)")
+    search.add_argument("--solve-timeout", type=float, help="seconds per solver call")
+    search.add_argument("--budget", type=float, help="seconds for the whole search")
+    search.add_argument("--max-ops", type=int, help="override the depth cap")
+
+    syn = sub.add_parser("synth", parents=[search], help="decide reachability and print a witness")
     syn.add_argument("instance")
-    syn.add_argument("--solver",
-                     help=f"solver command, or 'builtin' (default: ${SOLVER_ENV_VAR}, "
-                          "then a known solver on PATH, then builtin)")
-    syn.add_argument("--solve-timeout", type=float, help="seconds per solver call")
-    syn.add_argument("--budget", type=float, help="seconds for the whole search")
-    syn.add_argument("--max-ops", type=int, help="override the depth cap")
     syn.add_argument("--witness-out", help="write the witness to this file")
     syn.set_defaults(func=cmd_synth)
 
@@ -355,10 +357,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     orc = sub.add_parser("oracle", help="breadth-first reference search")
     orc.add_argument("instance")
-    orc.add_argument("--state-cap", type=_count, default=DEFAULT_STATE_CAP)
+    orc.add_argument("--state-cap", type=_count, default=DEFAULT_STATE_CAP,
+                     help="store at most this many states (default 2^22)")
     orc.set_defaults(func=cmd_oracle)
 
-    ben = sub.add_parser("bench", help="run an instance family and tabulate results")
+    ben = sub.add_parser("bench", parents=[search],
+                         help="run an instance family and tabulate results")
     ben.add_argument("--family", choices=("er", "network"), required=True)
     ben.add_argument("--sizes", type=_list_of(int),
                      help="comma separated n values (er; default 10)")
@@ -366,10 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="comma separated probabilities")
     ben.add_argument("--seeds", type=_count, default=3, help="seeds 0..k-1")
     ben.add_argument("--d-size", type=int, default=0)
-    ben.add_argument("--solver")
-    ben.add_argument("--solve-timeout", type=float)
-    ben.add_argument("--budget", type=float)
-    ben.add_argument("--max-ops", type=int)
     ben.add_argument("--jobs", type=_count, default=1)
     ben.add_argument("--no-timing", action="store_true",
                      help="omit the seconds column for byte-reproducible output")

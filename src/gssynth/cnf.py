@@ -52,9 +52,6 @@ class CnfFormula:
     def clauses(self) -> ClauseView:
         return ClauseView(self)
 
-    def add_clause(self, literals: Iterable[Literal]) -> None:
-        self.add_clauses([list(literals)])
-
     def add_clauses(self, clause_list: Iterable[Sequence[Literal]]) -> None:
         """Append a batch of clauses, or none of them if one literal is bad."""
         clauses = clause_list if isinstance(clause_list, list) else list(clause_list)

@@ -53,7 +53,7 @@ def normalize_edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class Graph:
     """Immutable simple graph: vertex count plus a packed edge bitmask."""
 

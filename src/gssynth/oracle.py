@@ -2,15 +2,16 @@
 
 This is the independent reference the SAT pipeline is checked against: it
 never touches the encoder or a solver, just applies operations to graphs.
-State counts grow as 2^(n*(n-1)/2), so a hard cap guards against runaway
-searches; hitting it raises instead of guessing.
+`reachable_bfs` and `reachable_set` run one search.  State counts grow as
+2^(n*(n-1)/2), so a cap of N stores at most N states; a search that needs
+more raises instead of guessing.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .graphs import (
     EF,
@@ -27,7 +28,7 @@ DEFAULT_STATE_CAP = 1 << 22
 
 
 class StateCapExceeded(RuntimeError):
-    """The search frontier outgrew the configured state cap."""
+    """The search needed to store more states than its cap."""
 
 
 @dataclass(frozen=True)
@@ -49,44 +50,44 @@ def step_operations(n: int, num_designated: int) -> List[Operation]:
     return ops
 
 
+def _search(
+    start: Graph, designated: Sequence[Edge], include_vd: bool, state_cap: int,
+    target: Optional[Graph] = None,
+) -> Dict[Graph, Optional[Tuple[Graph, Operation]]]:
+    """Each state reachable from start, with the state and step that first reached it.
+
+    The search stops as soon as it stores target.
+    """
+    ops = [op for op in step_operations(start.n, len(designated)) if include_vd or op.kind != VD]
+    parents: Dict[Graph, Optional[Tuple[Graph, Operation]]] = {start: None}
+    queue = deque([start])
+    while queue and target not in parents:
+        current = queue.popleft()
+        for op in ops:
+            nxt = apply_operation(current, op, designated)
+            if nxt not in parents:
+                if len(parents) >= state_cap:
+                    raise StateCapExceeded(f"search exceeded {state_cap} states before a verdict")
+                parents[nxt] = (current, op)
+                if nxt == target:
+                    break
+                queue.append(nxt)
+    return parents
+
+
 def reachable_bfs(
     inst: SynthesisInstance, state_cap: int = DEFAULT_STATE_CAP
 ) -> ReachabilityResult:
-    """Shortest operation sequence from source to target, or unreachable.
-
-    Explores the whole reachable component if needed; raises StateCapExceeded
-    rather than returning a wrong verdict when the cap is hit.
-    """
-    ops = step_operations(inst.n, len(inst.designated))
-    start = inst.source
-    if start == inst.target:
-        return ReachabilityResult(True, (), 1)
-    parents: Dict[Graph, Tuple[Optional[Graph], Optional[Operation]]] = {
-        start: (None, None)
-    }
-    queue = deque([start])
-    while queue:
-        current = queue.popleft()
-        for op in ops:
-            nxt = apply_operation(current, op, inst.designated)
-            if nxt in parents:
-                continue
-            parents[nxt] = (current, op)
-            if nxt == inst.target:
-                path: List[Operation] = []
-                node: Optional[Graph] = nxt
-                while node is not None and parents[node][1] is not None:
-                    prev, step = parents[node]
-                    path.append(step)  # type: ignore[arg-type]
-                    node = prev
-                path.reverse()
-                return ReachabilityResult(True, tuple(path), len(parents))
-            if len(parents) > state_cap:
-                raise StateCapExceeded(
-                    f"search exceeded {state_cap} states before reaching a verdict"
-                )
-            queue.append(nxt)
-    return ReachabilityResult(False, None, len(parents))
+    """Shortest operation sequence from source to target, or unreachable."""
+    parents = _search(inst.source, inst.designated, True, state_cap, inst.target)
+    if inst.target not in parents:
+        return ReachabilityResult(False, None, len(parents))
+    path: List[Operation] = []
+    node = inst.target
+    while parents[node] is not None:
+        node, op = parents[node]  # type: ignore[misc]
+        path.append(op)
+    return ReachabilityResult(True, tuple(reversed(path)), len(parents))
 
 
 def reachable_set(
@@ -96,20 +97,4 @@ def reachable_set(
     state_cap: int = DEFAULT_STATE_CAP,
 ) -> Set[Graph]:
     """Every graph reachable from start; optionally restricted to LC (+EF) only."""
-    ops = step_operations(start.n, len(designated))
-    if not include_vd:
-        ops = [op for op in ops if op.kind != VD]
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        current = queue.popleft()
-        for op in ops:
-            nxt = apply_operation(current, op, designated)
-            if nxt not in seen:
-                if len(seen) >= state_cap:
-                    raise StateCapExceeded(
-                        f"search exceeded {state_cap} states before closing"
-                    )
-                seen.add(nxt)
-                queue.append(nxt)
-    return seen
+    return set(_search(start, designated, include_vd, state_cap))

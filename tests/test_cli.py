@@ -14,7 +14,7 @@ from gssynth.cli import main
 from gssynth.cnf import write_dimacs
 from gssynth.driver import EncodingSoundnessError
 from gssynth.encoding import SynthesisInstance, encode_bmc, layout_to_text
-from gssynth.generators import read_instance, secret_sharing_demo, write_instance
+from gssynth.generators import erdos_renyi, read_instance, secret_sharing_demo, write_instance
 from gssynth.graphs import Graph, pair_count, star_graph
 
 
@@ -253,7 +253,10 @@ def test_a_crash_exits_70_with_its_traceback(tmp_path, capsys, monkeypatch):
         ["bench", "--family", "er", "--sizes", "4", "--p", "2"],
         ["bench", "--family", "er", "--sizes", "4", "--d-size", "9"],
         ["bench", "--family", "er", "--sizes", "4", "--max-ops", "-1"],
+        ["bench", "--family", "er", "--sizes", "4", "--max-ops", "x"],
+        ["bench", "--family", "er", "--sizes", "4", "--budget", "-1"],
         ["bench", "--family", "er", "--sizes", "4", "--budget", "nan"],
+        ["bench", "--family", "er", "--sizes", "4", "--solve-timeout", "nan"],
         ["bench", "--family", "er", "--sizes", "4", "--solver", "no-such-solver"],
         ["bench", "--family", "er", "--sizes", "4", "--seeds", "0"],
         ["bench", "--family", "er", "--sizes", "4", "--seeds", "-1"],
@@ -289,7 +292,29 @@ def test_bad_values_exit_with_the_usage_code(tmp_path, capsys, argv):
         "NODIR": str(tmp_path / "no" / "dir"),
     }
     assert main([paths.get(arg, arg) for arg in argv]) == 64
-    assert capsys.readouterr().err.startswith("gssynth:")
+    err = capsys.readouterr().err
+    assert err.startswith("gssynth:") and err.count("\n") == 1
+
+
+def search_options_help(capsys, command: str) -> str:
+    """The help of the four search options, which come first in both commands."""
+    with pytest.raises(SystemExit) as raised:
+        main([command, "--help"])
+    assert raised.value.code == 0
+    text, last = capsys.readouterr().out, "override the depth cap"
+    return text[text.index("  --solver") : text.index(last) + len(last)]
+
+
+def test_synth_and_bench_declare_the_search_options_alike(capsys):
+    synth, bench = (search_options_help(capsys, command) for command in ("synth", "bench"))
+    assert synth == bench
+    for option, help_text in (
+        ("--solver", "solver command, or 'builtin'"),
+        ("--solve-timeout", "seconds per solver call"),
+        ("--budget", "seconds for the whole search"),
+        ("--max-ops", "override the depth cap"),
+    ):
+        assert option in synth and help_text in synth
 
 
 # --- oracle -----------------------------------------------------------------------------
@@ -314,6 +339,15 @@ def test_oracle_state_cap_yields_unknown(tmp_path, capsys):
     path = write_inst(tmp_path, "big.inst", SynthesisInstance(K4, Graph(4)))
     assert main(["oracle", path, "--state-cap", "2"]) == 2
     assert "verdict unknown" in capsys.readouterr().out
+
+
+def test_oracle_state_cap_stores_at_most_that_many_states(tmp_path, capsys):
+    # the search stores this target as the 34th and last state of its closure
+    inst = SynthesisInstance(erdos_renyi(4, 0.8, 0), Graph(4, 17))
+    path = write_inst(tmp_path, "last.inst", inst)
+    assert main(["oracle", path, "--state-cap", "33"]) == 2
+    assert main(["oracle", path, "--state-cap", "34"]) == 0
+    assert "verdict reachable" in capsys.readouterr().out
 
 
 def test_synth_verdict_matches_oracle_on_a_random_instance(tmp_path, capsys):

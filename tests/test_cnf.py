@@ -20,21 +20,21 @@ from gssynth.cnf import (
 )
 
 
-def test_add_clause_tracks_vars_and_clauses():
+def test_add_clauses_tracks_vars_and_clauses():
     f = CnfFormula(2)
-    f.add_clause([1, -2])
+    f.add_clauses([[1, -2]])
     assert f.num_vars == 2
     assert [list(c) for c in f.clauses] == [[1, -2]]
 
 
-def test_add_clause_rejects_zero_and_out_of_range_literals():
+def test_add_clauses_rejects_zero_and_out_of_range_literals():
     f = CnfFormula(2)
     with pytest.raises(ValueError):
-        f.add_clause([1, 0])
+        f.add_clauses([[1, 0]])
     with pytest.raises(ValueError):
-        f.add_clause([5])
+        f.add_clauses([[5]])
     with pytest.raises(ValueError):
-        f.add_clause([-3])
+        f.add_clauses([[-3]])
 
 
 def test_a_rejected_batch_appends_nothing():
@@ -133,7 +133,7 @@ def test_a_bare_formula_is_a_query_without_assumptions():
 def test_clause_view_reads_and_writes_through():
     f = CnfFormula(3)
     f.add_clauses([[1, -2], [], [3, -1, 2]])
-    f.add_clause([-3])
+    f.add_clauses([[-3]])
     clauses = f.clauses
     assert len(clauses) == 4
     assert [list(c) for c in clauses] == [[1, -2], [], [3, -1, 2], [-3]]
@@ -150,7 +150,7 @@ def test_clause_view_reads_and_writes_through():
 
 def test_empty_clause_is_unsatisfiable():
     f = CnfFormula(2)
-    f.add_clause([])
+    f.add_clauses([[]])
     for bits in itertools.product((False, True), repeat=2):
         assignment = {1: bits[0], 2: bits[1]}
         assert falsified_clause(f, assignment) is not None
@@ -165,7 +165,7 @@ def test_write_dimacs_exact_bytes():
     assert write_dimacs(f) == "p cnf 2 2\n1 -2 0\n2 0\n"
     assert write_dimacs(CnfFormula(0)) == "p cnf 0 0\n"
     g = CnfFormula(3)
-    g.add_clause([-3])
+    g.add_clauses([[-3]])
     assert write_dimacs(g) == "p cnf 3 1\n-3 0\n"
     # the empty clause is a bare terminator
     h = CnfFormula(1)
@@ -274,7 +274,7 @@ def test_falsified_clause_matches_the_clause_by_clause_definition():
         for _ in range(rng.randint(0, 8)):
             # widths 0 and 1 give empty clauses and units inside the formula
             width = rng.randint(0, min(3, nv))
-            f.add_clause(rng.choice((v, -v)) for v in rng.sample(range(1, nv + 1), width))
+            f.add_clauses([[rng.choice((v, -v)) for v in rng.sample(range(1, nv + 1), width)]])
         units = [rng.choice((v, -v)) for v in rng.sample(range(1, nv + 1), rng.randint(0, nv))]
         # a partial assignment: missing variables count as false
         assignment = {v: rng.random() < 0.5 for v in range(1, nv + 1) if rng.random() < 0.9}

@@ -24,6 +24,7 @@ from gssynth.graphs import (
     star_graph,
 )
 from gssynth.oracle import (
+    ReachabilityResult,
     StateCapExceeded,
     reachable_bfs,
     reachable_set,
@@ -115,6 +116,26 @@ def test_reachable_set_with_and_without_vd():
 def test_reachable_set_cap():
     with pytest.raises(StateCapExceeded):
         reachable_set(complete_graph(5), state_cap=3)
+
+
+def test_a_state_cap_of_n_stores_at_most_n_states():
+    # ER(4, 0.8) seed 0 closes after 34 states, so a cap of 34 answers every
+    # question about it and a cap of 33 answers none that needs all 34
+    source = erdos_renyi(4, 0.8, 0)
+    closure = reachable_set(source)
+    assert len(closure) == 34
+    assert reachable_set(source, state_cap=34) == closure
+    with pytest.raises(StateCapExceeded):
+        reachable_set(source, state_cap=33)
+    last = [g for g in closure if reachable_bfs(SynthesisInstance(source, g)).explored == 34]
+    assert last == [Graph(4, 17)]  # the state the search stores last
+    found = reachable_bfs(SynthesisInstance(source, last[0]), state_cap=34)
+    assert found.reachable and found.explored == 34
+    outside = SynthesisInstance(source, next(g for g in all_graphs(4) if g not in closure))
+    assert reachable_bfs(outside, state_cap=34) == ReachabilityResult(False, None, 34)
+    for inst in (SynthesisInstance(source, last[0]), outside):
+        with pytest.raises(StateCapExceeded):
+            reachable_bfs(inst, state_cap=33)
 
 
 def test_reachable_bfs_answers_are_pinned():

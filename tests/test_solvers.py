@@ -48,8 +48,8 @@ def random_formula(rng: random.Random) -> CnfFormula:
     f = CnfFormula(nv)
     for _ in range(rng.randint(1, 14)):
         width = rng.randint(1, 3)
-        f.add_clause(
-            rng.choice((v, -v)) for v in rng.sample(range(1, nv + 1), min(width, nv))
+        f.add_clauses(
+            [[rng.choice((v, -v)) for v in rng.sample(range(1, nv + 1), min(width, nv))]]
         )
     return f
 
@@ -76,7 +76,7 @@ def planted_3sat() -> CnfFormula:
     while len(f.clauses) < 120:
         clause = [rng.choice((v, -v)) for v in rng.sample(range(1, 31), 3)]
         if any(model[abs(lit)] == (lit > 0) for lit in clause):
-            f.add_clause(clause)
+            f.add_clauses([clause])
     return f
 
 
@@ -106,23 +106,23 @@ def test_builtin_edge_cases():
     assert solver.solve(contradiction).status is SolveStatus.UNSAT
 
     empty_clause = CnfFormula(2)
-    empty_clause.add_clause([])
+    empty_clause.add_clauses([[]])
     assert solver.solve(empty_clause).status is SolveStatus.UNSAT
 
     tautology = CnfFormula(1)
-    tautology.add_clause([1, -1])
+    tautology.add_clauses([[1, -1]])
     assert solver.solve(tautology).status is SolveStatus.SAT
 
     # the highest variable sits at the boundary between the positive and the
     # negative literal indices
     for nv in (1, 2, 3):
         positive = CnfFormula(nv)
-        positive.add_clause([nv])
+        positive.add_clauses([[nv]])
         result = solver.solve(positive)
         assert result.status is SolveStatus.SAT and result.assignment[nv] is True
 
         negative = CnfFormula(nv)
-        negative.add_clause([-nv])
+        negative.add_clauses([[-nv]])
         result = solver.solve(negative)
         assert result.status is SolveStatus.SAT and result.assignment[nv] is False
 
@@ -131,7 +131,7 @@ def test_builtin_edge_cases():
         assert solver.solve(both).status is SolveStatus.UNSAT
 
         unused = CnfFormula(nv + 1)  # variable nv + 1 is in no clause
-        unused.add_clause([-nv, 1])
+        unused.add_clauses([[-nv, 1]])
         result = solver.solve(unused)
         assert result.status is SolveStatus.SAT
         assert sorted(result.assignment) == list(range(1, nv + 2))
@@ -157,8 +157,8 @@ def test_builtin_answers_a_sequence_of_queries_under_assumptions():
         f = CnfFormula(nv)
         for _ in range(rng.randint(1, 4 * nv)):
             width = rng.randint(1, 3)
-            f.add_clause(
-                rng.choice((v, -v)) for v in rng.sample(range(1, nv + 1), min(width, nv))
+            f.add_clauses(
+                [[rng.choice((v, -v)) for v in rng.sample(range(1, nv + 1), min(width, nv))]]
             )
         base = QueryBase(f)  # one search answers every query below
         for _ in range(12):
@@ -208,7 +208,7 @@ def test_a_formula_unsat_at_level_0_stays_unsat():
 
 def test_builtin_zero_timeout_reports_unknown():
     f = CnfFormula(2)
-    f.add_clause([1, 2])  # needs a decision, so the deadline check is reached
+    f.add_clauses([[1, 2]])  # needs a decision, so the deadline check is reached
     result = InProcessSolver().solve(f, timeout=0.0)
     assert result.status is SolveStatus.UNKNOWN
     assert result.detail == "timeout"
@@ -379,7 +379,7 @@ def test_external_solver_keeps_exit_code_and_stderr_without_a_verdict(tmp_path):
     script.write_text("#!/bin/sh\necho 'c parsing' \necho 'bad header' >&2\necho '' >&2\nexit 3\n")
     script.chmod(0o755)
     f = CnfFormula(1)
-    f.add_clause([1])
+    f.add_clauses([[1]])
     result = ExternalSolver([str(script)]).solve(f)
     assert result.status is SolveStatus.UNKNOWN and result.assignment is None
     assert result.detail == "exit 3: bad header"
@@ -504,5 +504,5 @@ def test_external_and_builtin_agree_on_random_3sat():
         nv = 12
         f = CnfFormula(nv)
         for _ in range(int(4.0 * nv)):
-            f.add_clause(rng.choice((v, -v)) for v in rng.sample(range(1, nv + 1), 3))
+            f.add_clauses([[rng.choice((v, -v)) for v in rng.sample(range(1, nv + 1), 3)]])
         assert backend.solve(f, timeout=30).status is builtin.solve(f).status
