@@ -192,6 +192,29 @@ def test_verify_rejects_an_operation_that_does_not_apply(tmp_path, capsys):
     assert "witness invalid" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "witness, code",
+    [
+        ("LC 0\n", 0),  # a good witness
+        ("VD 9\n", 1),  # a vertex out of range
+        ("LC 1\n", 1),  # misses the target: LC at a leaf does nothing
+        ("LC\n", 64),  # a malformed line
+        (None, 64),  # a missing file
+    ],
+)
+def test_verify_exit_codes(tmp_path, capsys, witness, code):
+    inst = write_inst(tmp_path, "star.inst", SynthesisInstance(STAR4, K4))
+    path = tmp_path / "w.witness"
+    if witness is not None:
+        path.write_text(witness)
+    assert main(["verify", inst, str(path)]) == code
+    captured = capsys.readouterr()
+    if code == 64:
+        assert captured.err.startswith("gssynth:") and captured.err.count("\n") == 1
+    else:
+        assert captured.out.startswith("witness ok" if code == 0 else "witness invalid")
+
+
 def test_synth_reports_bad_instance_files(tmp_path, capsys):
     missing = str(tmp_path / "nope.inst")
     assert main(["synth", missing]) == 64

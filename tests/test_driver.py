@@ -19,9 +19,10 @@ from gssynth.driver import (
 )
 from gssynth.encoding import SynthesisInstance, StepLayout, encode_bmc
 from gssynth.generators import secret_sharing_demo
-from gssynth.graphs import Graph, pair_count, pairs, star_graph
+from gssynth.graphs import LC, Graph, Operation, pair_count, pairs, star_graph
 from gssynth.oracle import reachable_bfs
 from gssynth.solvers import InProcessSolver, SolveResult
+from gssynth.witness import Witness
 
 STAR4 = star_graph(4, 0, (1, 2, 3))
 K4 = Graph(4, (1 << pair_count(4)) - 1)
@@ -425,6 +426,29 @@ def test_a_witness_longer_than_its_probe_allows_is_refused(monkeypatch):
 
     with pytest.raises(EncodingSoundnessError, match="operations from a probe at"):
         synthesize(SynthesisInstance(STAR4, K4), HookedSolver(give_up_on_a_loop))
+
+
+def test_a_model_whose_middle_state_is_wrong_is_refused(monkeypatch):
+    # LC 0 twice ends back at the star, but the decoded middle state is not
+    # K4: the end check alone would pass it, the claimed-state check does not
+    bogus = Witness((Operation(LC, 0), Operation(LC, 0)), (STAR4, Graph(4), STAR4))
+    monkeypatch.setattr(gssynth.driver, "decode", lambda assignment, layout: bogus)
+    with pytest.raises(EncodingSoundnessError, match="step 0"):
+        synthesize(SynthesisInstance(STAR4, STAR4), InProcessSolver())
+
+
+def test_the_driver_calls_encoder_decoder_and_replay_through_its_globals(monkeypatch):
+    # the benchmark's tracer times these three layers by swapping these names
+    calls = {}
+    for name in ("encode_bmc", "decode", "replay_verify"):
+        def counted(*args, _name=name, _original=getattr(gssynth.driver, name)):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _original(*args)
+        monkeypatch.setattr(gssynth.driver, name, counted)
+    outcome = synthesize(secret_sharing_demo(), InProcessSolver())
+    assert outcome.verdict is Verdict.REACHABLE
+    assert calls["encode_bmc"] == 1
+    assert calls["decode"] == calls["replay_verify"] >= 1
 
 
 def test_a_probe_under_assumptions_agrees_with_its_own_depth():

@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
+import hashlib
+import itertools
+import json
+
 import pytest
 
 from gssynth.cnf import SolveStatus
+from gssynth.driver import Limits, synthesize
 from gssynth.encoding import StepLayout, SynthesisInstance, encode_bmc
+from gssynth.generators import erdos_renyi, ghz_target, random_D, secret_sharing_demo
 from gssynth.graphs import (
     EF,
     ID,
@@ -134,6 +140,16 @@ def test_replay_rejects_the_wrong_vertex():
     assert report.failed_step == 0
 
 
+def test_replay_rejects_a_wrong_middle_state_at_the_right_end():
+    # LC 0 twice takes the star to K4 and back; a witness that claims some
+    # other graph in the middle still ends at the target, and must be refused
+    inst = SynthesisInstance(STAR4, STAR4)
+    bogus = Witness((Operation(LC, 0), Operation(LC, 0)), (STAR4, Graph(4), STAR4))
+    report = replay_verify(inst, bogus)
+    assert not report.ok
+    assert report.message.startswith("step 0:")
+
+
 def test_replay_rejects_wrong_endpoints():
     inst = SynthesisInstance(STAR4, complete_graph(4))
     wrong_start = Witness((), (complete_graph(4),))
@@ -150,6 +166,35 @@ def test_replay_rejects_ef_outside_designated_set():
     report = replay_verify(inst, bogus)
     assert not report.ok
     assert report.failed_step == 0
+
+
+def test_synthesized_witnesses_are_pinned():
+    """Every witness `synthesize` reports, with its states and `minimal`, on a
+    fixed set of runs: the instances of `test_builtin_search_is_pinned`.
+
+    A rewrite of the witness path must leave this digest as it is.
+    """
+    runs = []
+    for n, p, seed, d_size in itertools.product((3, 4), (0.3, 0.5, 0.8), range(4), (0, 2)):
+        designated = random_D(n, d_size, seed + 1) if d_size else ()
+        target = ghz_target(n, range(min(4, n)))
+        inst = SynthesisInstance(erdos_renyi(n, p, seed), target, designated)
+        runs.append((inst, Limits(max_operations=8) if d_size else Limits()))
+    runs.append((secret_sharing_demo(), Limits()))
+    rows = []
+    for inst, limits in runs:
+        outcome = synthesize(inst, InProcessSolver(), limits)
+        witness = outcome.witness
+        rows.append([
+            None if witness is None else [
+                witness_to_text(witness.operations, inst.designated),
+                [state.bits for state in witness.states],
+            ],
+            outcome.minimal,
+        ])
+    assert sum(row[0] is not None for row in rows) == 29
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+    assert digest == "874a4ebc5cc91237b18ad9645c0feafa39976a25fd24e7448f64bc7084921ad0"
 
 
 # --- text format -------------------------------------------------------------------
