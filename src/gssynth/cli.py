@@ -24,7 +24,9 @@ import os
 import sys
 import traceback
 from multiprocessing import Pool
-from typing import Callable, Dict, Iterable, List, NoReturn, Optional, Sequence, Tuple, Union
+from typing import (
+    Callable, Dict, Iterable, List, NoReturn, Optional, Sequence, Tuple, TypeVar, Union,
+)
 
 from .driver import Limits, SynthesisOutcome, Verdict, synthesize
 from .encoding import encode_bmc, layout_to_text
@@ -39,10 +41,12 @@ from .generators import (
     write_instance,
 )
 from .cnf import dimacs_slices
-from .graphs import SynthesisInstance
+from .graphs import Operation, SynthesisInstance
 from .oracle import StateCapExceeded, DEFAULT_STATE_CAP, reachable_bfs
 from .solvers import SOLVER_ENV_VAR, SolverBackend, SolverNotFoundError, resolve_backend
-from .witness import operations_from_text, witness_from_operations, witness_to_text
+from .witness import ReplayReport, operations_from_text, replay, replay_verify, witness_to_text
+
+T = TypeVar("T")
 
 EXIT_REACHABLE = 0
 EXIT_UNREACHABLE = 1
@@ -58,14 +62,19 @@ _VERDICT_EXIT = {
 }
 
 
-def _read_instance_file(path: str) -> Tuple[SynthesisInstance, Dict[str, str]]:
+def _read_file(path: str, what: str, parse: Callable[[str], T]) -> T:
+    """Parse a file; one that cannot be read or parsed is a usage error."""
     try:
         with open(path) as fh:
-            return read_instance(fh.read())
+            return parse(fh.read())
     except OSError as exc:
         raise SystemExit(f"gssynth: cannot read {path}: {exc.strerror}") from exc
     except ValueError as exc:
-        raise SystemExit(f"gssynth: bad instance file {path}: {exc}") from exc
+        raise SystemExit(f"gssynth: bad {what} file {path}: {exc}") from exc
+
+
+def _read_instance_file(path: str) -> SynthesisInstance:
+    return _read_file(path, "instance", read_instance)[0]
 
 
 def _write_output(text: Union[str, Iterable[str]], path: Optional[str]) -> None:
@@ -149,7 +158,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_encode(args: argparse.Namespace) -> int:
-    inst, _ = _read_instance_file(args.instance)
+    inst = _read_instance_file(args.instance)
     formula, layout = encode_bmc(inst, args.states)
     # slice by slice, so the whole text is never held in memory
     _write_output(dimacs_slices(formula), args.out_prefix + ".cnf")
@@ -160,6 +169,12 @@ def cmd_encode(args: argparse.Namespace) -> int:
 
 
 # --- synth -----------------------------------------------------------------------
+
+
+def _print_operations(inst: SynthesisInstance, operations: Sequence[Operation]) -> None:
+    print(f"operations {len(operations)}")
+    for line in witness_to_text(operations, inst.designated).splitlines():
+        print(f"op {line}")
 
 
 def _print_outcome(inst: SynthesisInstance, outcome: SynthesisOutcome) -> None:
@@ -176,13 +191,11 @@ def _print_outcome(inst: SynthesisInstance, outcome: SynthesisOutcome) -> None:
           f" (sound {str(outcome.threshold.sound).lower()})")
     print(f"solver_seconds {outcome.solver_seconds:.3f}")
     if outcome.witness is not None:
-        print(f"operations {len(outcome.witness.operations)}")
-        for line in witness_to_text(outcome.witness.operations, inst.designated).splitlines():
-            print(f"op {line}")
+        _print_operations(inst, outcome.witness.operations)
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    inst, _ = _read_instance_file(args.instance)
+    inst = _read_instance_file(args.instance)
     outcome = synthesize(inst, _backend(args.solver), _limits(args))
     _print_outcome(inst, outcome)
     if args.witness_out and outcome.witness is not None:
@@ -196,21 +209,16 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    inst, _ = _read_instance_file(args.instance)
+    inst = _read_instance_file(args.instance)
+    operations = _read_file(
+        args.witness, "witness", lambda text: operations_from_text(text, inst.designated)
+    )
     try:
-        with open(args.witness) as fh:
-            operations = operations_from_text(fh.read(), inst.designated)
-    except OSError as exc:
-        raise SystemExit(f"gssynth: cannot read {args.witness}: {exc.strerror}") from exc
-    except ValueError as exc:
-        raise SystemExit(f"gssynth: bad witness file: {exc}") from exc
-    try:
-        witness = witness_from_operations(inst, operations)
-    except ValueError as exc:
-        print(f"witness invalid: {exc}")
-        return 1
-    if witness.final != inst.target:
-        print("witness invalid: witness does not end at the target graph")
+        report = replay_verify(inst, replay(inst, operations))
+    except ValueError as exc:  # a step that does not apply
+        report = ReplayReport(False, str(exc))
+    if not report.ok:
+        print(f"witness invalid: {report.message}")
         return 1
     print(f"witness ok ({len(operations)} operations)")
     return 0
@@ -220,7 +228,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    inst, _ = _read_instance_file(args.instance)
+    inst = _read_instance_file(args.instance)
     try:
         result = reachable_bfs(inst, state_cap=args.state_cap)
     except StateCapExceeded as exc:
@@ -229,9 +237,8 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     if not result.reachable:
         print(f"verdict unreachable\nexplored {result.explored}")
         return EXIT_UNREACHABLE
-    print(f"verdict reachable\noperations {result.shortest_length}")
-    for line in witness_to_text(result.shortest, inst.designated).splitlines():
-        print(f"op {line}")
+    print("verdict reachable")
+    _print_operations(inst, result.shortest)
     return EXIT_REACHABLE
 
 

@@ -2,20 +2,23 @@
 
 A witness is the operation sequence extracted from a satisfying assignment of
 the reachability formula, together with the state sequence it claims to pass
-through.  Witnesses are always re-checked against the plain graph semantics
-before being reported; a decoded witness that fails replay means the encoding
-itself is broken, which callers treat as an internal error rather than a
-verdict.
+through.  `replay` is the one place that runs operations from the source;
+`replay_verify` checks a witness against it, for the driver before anything is
+reported and for `gssynth verify`.  A decoded witness that fails replay means
+the encoding itself is broken, which callers treat as an internal error rather
+than a verdict.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .cnf import Assignment
 from .encoding import KIND_CODE, StepLayout
-from .graphs import EF, ID, LC, VD, Edge, Graph, Operation, SynthesisInstance, apply_operation
+from .graphs import (
+    EF, ID, LC, VD, Edge, Graph, Operation, SynthesisInstance, apply_operation, normalize_edge,
+)
 
 
 @dataclass(frozen=True)
@@ -32,10 +35,6 @@ class Witness:
     def __post_init__(self) -> None:
         if len(self.states) != len(self.operations) + 1:
             raise ValueError("witness needs one more state than operations")
-
-    @property
-    def initial(self) -> Graph:
-        return self.states[0]
 
     @property
     def final(self) -> Graph:
@@ -76,24 +75,34 @@ def decode(assignment: Assignment, layout: StepLayout) -> Witness:
 class ReplayReport:
     ok: bool
     message: str = ""
-    failed_step: Optional[int] = None
+
+
+def replay(inst: SynthesisInstance, operations: Sequence[Operation]) -> Witness:
+    """Run operations from the source with the graph semantics.
+
+    Raises ValueError naming the first step that does not apply.
+    """
+    states: List[Graph] = [inst.source]
+    for step, op in enumerate(operations):
+        try:
+            states.append(apply_operation(states[-1], op, inst.designated))
+        except ValueError as exc:
+            raise ValueError(f"step {step}: {exc}") from exc
+    return Witness(tuple(operations), tuple(states))
 
 
 def replay_verify(inst: SynthesisInstance, witness: Witness) -> ReplayReport:
-    """Re-run the operations with the graph semantics and check every claim."""
-    if witness.initial != inst.source:
+    """Replay the operations and check every state the witness claims."""
+    if witness.states[0] != inst.source:
         return ReplayReport(False, "witness does not start at the source graph")
-    current = inst.source
-    for step, (op, claimed) in enumerate(zip(witness.operations, witness.states[1:])):
-        try:
-            current = apply_operation(current, op, inst.designated)
-        except ValueError as exc:
-            return ReplayReport(False, f"step {step}: {exc}", step)
-        if current != claimed:
-            return ReplayReport(
-                False, f"step {step}: replayed state disagrees with witness", step
-            )
-    if current != inst.target:
+    try:
+        replayed = replay(inst, witness.operations)
+    except ValueError as exc:
+        return ReplayReport(False, str(exc))
+    for step, (claimed, state) in enumerate(zip(witness.states[1:], replayed.states[1:])):
+        if claimed != state:
+            return ReplayReport(False, f"step {step}: replayed state disagrees with witness")
+    if replayed.final != inst.target:
         return ReplayReport(False, "witness does not end at the target graph")
     return ReplayReport(True)
 
@@ -105,16 +114,9 @@ def replay_verify(inst: SynthesisInstance, witness: Witness) -> ReplayReport:
 
 
 def witness_to_text(operations: Sequence[Operation], designated: Sequence[Edge] = ()) -> str:
-    lines: List[str] = []
-    for op in operations:
-        if op.kind == EF:
-            u, v = designated[op.arg]
-            lines.append(f"EF {u} {v}")
-        elif op.kind == ID:
-            lines.append("ID")
-        else:
-            lines.append(f"{op.kind} {op.arg}")
-    return "\n".join(lines) + ("\n" if lines else "")
+    lines = ("EF {} {}".format(*designated[op.arg]) if op.kind == EF else str(op)
+             for op in operations)
+    return "".join(line + "\n" for line in lines)
 
 
 def operations_from_text(text: str, designated: Sequence[Edge] = ()) -> List[Operation]:
@@ -128,29 +130,17 @@ def operations_from_text(text: str, designated: Sequence[Edge] = ()) -> List[Ope
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        parts = line.split()
-        if parts[0] == ID and len(parts) == 1:
+        kind, *args = line.split()
+        if kind == ID and not args:
             operations.append(Operation(ID, 0))
-        elif parts[0] in (LC, VD) and len(parts) == 2:
-            operations.append(Operation(parts[0], int(parts[1])))
-        elif parts[0] == EF and len(parts) == 3:
-            u, v = int(parts[1]), int(parts[2])
-            pair = (u, v) if u < v else (v, u)
-            if pair not in pair_to_index:
+        elif kind in (LC, VD) and len(args) == 1:
+            operations.append(Operation(kind, int(args[0])))
+        elif kind == EF and len(args) == 2:
+            u, v = int(args[0]), int(args[1])
+            index = pair_to_index.get(normalize_edge(u, v))
+            if index is None:
                 raise ValueError(f"EF pair ({u}, {v}) is not designated")
-            operations.append(Operation(EF, pair_to_index[pair]))
+            operations.append(Operation(EF, index))
         else:
             raise ValueError(f"bad witness line {line!r}")
     return operations
-
-
-def witness_from_operations(
-    inst: SynthesisInstance, operations: Sequence[Operation]
-) -> Witness:
-    """Build a full witness (with states) by running operations from the source."""
-    states: List[Graph] = [inst.source]
-    current = inst.source
-    for op in operations:
-        current = apply_operation(current, op, inst.designated)
-        states.append(current)
-    return Witness(tuple(operations), tuple(states))

@@ -30,7 +30,7 @@ from gssynth.oracle import (
     reachable_set,
     step_operations,
 )
-from gssynth.witness import replay_verify, witness_from_operations
+from gssynth.witness import replay, replay_verify
 
 
 def complete_graph(n: int) -> Graph:
@@ -66,7 +66,7 @@ def test_shortest_path_replays_to_the_target():
     result = reachable_bfs(inst)
     assert result.reachable
     assert result.shortest_length == 2
-    assert replay_verify(inst, witness_from_operations(inst, result.shortest)).ok
+    assert replay_verify(inst, replay(inst, result.shortest)).ok
 
 
 def test_five_cycle_cannot_reach_the_full_star():

@@ -27,8 +27,8 @@ from gssynth.witness import (
     Witness,
     decode,
     operations_from_text,
+    replay,
     replay_verify,
-    witness_from_operations,
     witness_to_text,
 )
 
@@ -55,7 +55,7 @@ def test_witness_needs_one_more_state_than_operations():
     with pytest.raises(ValueError):
         Witness((Operation(LC, 0),), (STAR4,))
     w = Witness((), (STAR4,))
-    assert w.initial == w.final == STAR4
+    assert w.states[0] == w.final == STAR4
     assert w.operations == ()
 
 
@@ -83,7 +83,7 @@ def test_decode_keeps_padding_and_replays():
     inst = SynthesisInstance(STAR4, STAR4)
     witness = solve_and_decode(inst, 3)
     assert len(witness.operations) <= 2
-    assert witness.initial == witness.final == STAR4
+    assert witness.states[0] == witness.final == STAR4
     assert replay_verify(inst, witness).ok
 
 
@@ -122,13 +122,22 @@ def test_decode_drops_identity_steps_with_their_states():
 
 def test_replay_accepts_the_star_chain():
     inst = SynthesisInstance(STAR4, complete_graph(4))
-    witness = witness_from_operations(inst, (Operation(LC, 0),))
+    witness = replay(inst, (Operation(LC, 0),))
     assert replay_verify(inst, witness).ok
 
     k4_minus = Graph.from_edges(4, [(0, 1), (0, 3), (1, 3)])
     inst2 = SynthesisInstance(complete_graph(4), k4_minus)
-    witness2 = witness_from_operations(inst2, (Operation(VD, 2),))
+    witness2 = replay(inst2, (Operation(VD, 2),))
     assert replay_verify(inst2, witness2).ok
+
+
+def test_replay_builds_the_state_trace():
+    inst = SynthesisInstance(STAR4, Graph(4))
+    witness = replay(inst, (Operation(LC, 0), Operation(VD, 0)))
+    assert witness.states[0] == STAR4
+    assert witness.states[1] == complete_graph(4)
+    # deleting the old center from the complete graph leaves a triangle
+    assert witness.states[2] == Graph.from_edges(4, [(1, 2), (1, 3), (2, 3)])
 
 
 def test_replay_rejects_the_wrong_vertex():
@@ -137,7 +146,7 @@ def test_replay_rejects_the_wrong_vertex():
     bogus = Witness((Operation(LC, 1),), (STAR4, complete_graph(4)))
     report = replay_verify(inst, bogus)
     assert not report.ok
-    assert report.failed_step == 0
+    assert report.message.startswith("step 0:")
 
 
 def test_replay_rejects_a_wrong_middle_state_at_the_right_end():
@@ -165,7 +174,9 @@ def test_replay_rejects_ef_outside_designated_set():
     bogus = Witness((Operation(EF, 0),), (Graph(3), Graph.from_edges(3, [(0, 1)])))
     report = replay_verify(inst, bogus)
     assert not report.ok
-    assert report.failed_step == 0
+    assert report.message.startswith("step 0:")
+    with pytest.raises(ValueError, match="step 0"):
+        replay(inst, bogus.operations)
 
 
 def test_synthesized_witnesses_are_pinned():
@@ -223,14 +234,3 @@ def test_operations_from_text_ignores_comments_and_checks_pairs():
     with pytest.raises(ValueError):
         operations_from_text("XX 0\n")
 
-
-# --- construction helper --------------------------------------------------------------
-
-
-def test_witness_from_operations_builds_the_state_trace():
-    inst = SynthesisInstance(STAR4, Graph(4))
-    witness = witness_from_operations(inst, (Operation(LC, 0), Operation(VD, 0)))
-    assert witness.states[0] == STAR4
-    assert witness.states[1] == complete_graph(4)
-    # deleting the old center from the complete graph leaves a triangle
-    assert witness.states[2] == Graph.from_edges(4, [(1, 2), (1, 3), (2, 3)])
