@@ -16,8 +16,8 @@ One relation builder, `encode_operation`, turns any operation into clauses
 over the edge variables of two consecutive states: each pair is cleared,
 toggled, toggled under a condition, or copied.  A transition conjoins the
 relation of every operation it offers, widened by one guard rule: a clause c
-of the relation for argument k and kind val becomes neq(y, k) + neq(z, val) +
-c, so the relation only bites when the selectors pick it; identity is picked
+of the relation for argument k and kind val becomes c + neq(y, k) + neq(z,
+val), so the relation only bites when the selectors pick it; identity is picked
 by its kind alone, so its guard drops the y part.  It offers LC at each
 vertex, EF at each designated pair, identity, and VD only at the vertices
 that are isolated in the target or lie on a designated pair: a deleted vertex
@@ -41,6 +41,14 @@ each later transition t as a shifted copy of transition 0's literals: edge
 variables move t*P on, selector variables t selector blocks on
 (`CnfFormula.add_shifted`, one big-integer addition per copy).  The clauses
 are exactly those `encode_transition(inst, t, layout)` would build.
+
+Every clause lists its literals in strictly ascending variable order, each
+variable once.  The builders write them so (pre-state edges, then post-state
+edges, then y bits, then z bits), and `add_shifted` keeps the order, since it
+moves both states of a transition by P and its selectors by one block, and
+every edge variable lies below every selector variable.  The builtin solver
+watches each clause's first two literals as given, so this order fixes its
+search, and it is the order `gssynth encode` writes each DIMACS clause in.
 """
 
 from __future__ import annotations
@@ -184,6 +192,8 @@ def encode_operation(
     * conditional toggle, for LC at k on pairs avoiding k: b = a xor (uk and vk),
       where uk and vk are the pre-state variables of (u, k) and (v, k);
     * copy, for every other pair: b = a.
+
+    Each clause lists its literals in ascending variable order.
     """
     n = layout.n
     pre = layout.state_vars(transition)
@@ -198,13 +208,21 @@ def encode_operation(
         if op.kind == VD and k in (u, v):
             clauses.append([-b])
         elif (u, v) == flip:
-            clauses += [[b, a], [-b, -a]]
+            clauses += [[a, b], [-a, -b]]
         elif op.kind == LC and k not in (u, v):
+            # uk < vk < b always, and a comes after uk iff k < v, after vk iff k < u
             uk, vk = at_k[u], at_k[v]
-            clauses += [[-uk, -vk, b, a], [-uk, -vk, -b, -a]]
-            clauses += [[uk, b, -a], [vk, b, -a], [uk, -b, a], [vk, -b, a]]
+            if k < u:
+                clauses += [[-uk, -vk, a, b], [-uk, -vk, -a, -b], [uk, -a, b], [vk, -a, b]]
+                clauses += [[uk, a, -b], [vk, a, -b]]
+            elif k < v:
+                clauses += [[-uk, a, -vk, b], [-uk, -a, -vk, -b], [uk, -a, b], [-a, vk, b]]
+                clauses += [[uk, a, -b], [a, vk, -b]]
+            else:
+                clauses += [[a, -uk, -vk, b], [-a, -uk, -vk, -b], [-a, uk, b], [-a, vk, b]]
+                clauses += [[a, uk, -b], [a, vk, -b]]
         else:
-            clauses += [[b, -a], [-b, a]]
+            clauses += [[-a, b], [a, -b]]
     return clauses
 
 
@@ -228,7 +246,7 @@ def _selector_domain(transition: int, layout: StepLayout) -> List[Clause]:
     else:
         clauses.append([z0, -z1])
     for var in y:
-        clauses.append([-z0, -z1, -var])
+        clauses.append([-var, -z0, -z1])
     return clauses
 
 
@@ -259,7 +277,7 @@ def encode_transition(
             if deletable:
                 clauses.append(guard)
             continue
-        clauses.extend(guard + clause for clause in encode_operation(op, inst, t, layout))
+        clauses.extend(clause + guard for clause in encode_operation(op, inst, t, layout))
     if not deletable:
         clauses.append(encode_neq(z, KIND_CODE[VD]))
     clauses.extend(_selector_domain(t, layout))

@@ -72,11 +72,12 @@ class ExternalSolver:
     answer files never pollute the caller's working directory.  A query's
     assumptions are written as unit clauses after the formula, and the text
     goes to the file slice by slice, never whole in memory.  Only the
-    "s"/"v" lines are read; without a verdict, the exit code and the last
-    line on stderr go into the result's detail.  Bytes that are not UTF-8
-    are read as U+FFFD.  A model is checked against the formula and the
-    assumptions; a malformed "v" line, or a model that falsifies a clause, is
-    answered UNKNOWN with that line or clause in the detail.
+    "s"/"v" lines are read; the exit code and the last line on stderr go
+    into the result's detail on every call that does not time out.  Bytes
+    that are not UTF-8 are read as U+FFFD.  A model is checked against the
+    formula and the assumptions; a malformed "v" line, or a model that
+    falsifies a clause, is answered UNKNOWN with that line or clause leading
+    the detail.
     """
 
     def __init__(self, command: Sequence[str]) -> None:
@@ -114,21 +115,20 @@ class ExternalSolver:
                     time.monotonic() - start,
                     detail="timeout",
                 )
+            # whatever the answer, keep how the solver ended and what it said last
+            said = [line.strip() for line in proc.stderr.splitlines() if line.strip()]
+            detail = f"exit {proc.returncode}" + (f": {said[-1]}" if said else "")
             try:
                 status, assignment = parse_model(proc.stdout, query.formula.num_vars)
             except ValueError as exc:  # a malformed model is no answer
-                return SolveResult(SolveStatus.UNKNOWN, None, time.monotonic() - start, str(exc))
-        detail = ""
-        if status is SolveStatus.UNKNOWN:
-            # no verdict: keep what the solver said about why
-            said = [line.strip() for line in proc.stderr.splitlines() if line.strip()]
-            detail = f"exit {proc.returncode}" + (f": {said[-1]}" if said else "")
-        elif status is SolveStatus.SAT:
+                status, assignment, detail = SolveStatus.UNKNOWN, None, f"{exc}; {detail}"
+        if status is SolveStatus.SAT:
             # a model that falsifies the query is the solver's fault: no answer
             falsified = falsified_clause(query.formula, assignment, query.assumptions)
             if falsified is not None:
                 status, assignment = SolveStatus.UNKNOWN, None
-                detail = "model falsifies clause " + " ".join(map(str, falsified)) + " 0"
+                clause = " ".join(map(str, falsified))
+                detail = f"model falsifies clause {clause} 0; {detail}"
         return SolveResult(status, assignment, time.monotonic() - start, detail)
 
 
@@ -178,7 +178,10 @@ class InProcessSolver:
     activities with phase saving, and Luby-sequence restarts stepped by
     Knuth's reluctant doubling.  The assignment and the watch lists are plain
     lists indexed by literal (after MiniSat), so propagation reads a literal's
-    value with one lookup and compacts each watch list in place.
+    value with one lookup and compacts each watch list in place.  Each
+    clause is loaded as given and first watched by its first two literals,
+    so the order the encoder writes (ascending variables) fixes the search;
+    a repeated literal or a tautology needs no special case.
     Deterministic: no randomized heuristics, so repeated runs give identical
     models.
 
@@ -234,9 +237,7 @@ class _Search:
         self.root_conflict = False  # the formula itself is UNSAT
         literals = formula.literals.tolist()
         for start, end in pairwise(formula.starts):
-            clause = sorted(set(literals[start : end - 1]), key=abs)
-            if len(set(map(abs, clause))) < len(clause):
-                continue  # tautology: without repeats, a variable seen twice has both signs
+            clause = literals[start : end - 1]
             if len(clause) > 1:
                 self._attach(clause)
             elif not clause or not self._enqueue(clause[0], None):
@@ -325,8 +326,7 @@ class _Search:
     def _analyze(self, conflict: List[int]) -> tuple[List[int], int]:
         """First-UIP learned clause and the level to backjump to."""
         current = len(self.trail_lim)
-        level, activity, inc = self.level, self.activity, self.act_inc
-        seen = [False] * (self.nv + 1)
+        level, activity, inc, seen = self.level, self.activity, self.act_inc, self.seen
         learned: List[int] = [0]  # slot 0 gets the asserting literal
         counter = 0
         clause: Optional[List[int]] = conflict
@@ -360,13 +360,18 @@ class _Search:
             clause = self.reason[var]
         self.act_inc = inc
         learned[0] = -pivot
-        if len(learned) == 1:
-            return learned, 0
+        # the marks left are the tail's: every current-level mark went with its pivot
+        back_pos = back_level = 0
+        for i in range(1, len(learned)):
+            var = abs(learned[i])
+            seen[var] = False
+            if level[var] > back_level:
+                back_pos, back_level = i, level[var]
         # watch the highest-level non-asserting literal so the clause stays
         # correct after the backjump
-        back_pos = max(range(1, len(learned)), key=lambda i: self.level[abs(learned[i])])
-        learned[1], learned[back_pos] = learned[back_pos], learned[1]
-        return learned, self.level[abs(learned[1])]
+        if back_pos:
+            learned[1], learned[back_pos] = learned[back_pos], learned[1]
+        return learned, back_level
 
     # main loop ----------------------------------------------------------
 
@@ -391,6 +396,9 @@ class _Search:
         """
         if self.root_conflict:
             return SolveStatus.UNSAT, None, 0, 0
+        # _analyze's marks: it clears them before it returns, and each call
+        # starts clean even if the last one raised inside _analyze
+        self.seen = [False] * (self.nv + 1)
         conflicts = decisions = conflicts_since_restart = 0
         # Knuth's reluctant doubling: v runs through the Luby sequence 1 1 2 1 1 2 4 ...
         u = v = 1

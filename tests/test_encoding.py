@@ -435,14 +435,17 @@ def reference_bmc_clauses(inst: SynthesisInstance, num_states: int):
     return clauses + encode_graph_constraint(inst.target, num_states - 1, layout)
 
 
-@pytest.mark.parametrize(
-    "n, sizes, state_counts",
-    # n = 1 has no pairs and n = 2 one; n = 16 has 5-bit selectors; n = 17 is
-    # the paper's largest size
-    [(n, {0, 1, n * (n - 1) // 4}, range(1, 5)) for n in range(1, 7)]
-    + [(16, {2}, (3,)), (17, {2}, (3,))],
-    ids=lambda value: str(value) if isinstance(value, int) else None,
-)
+# n = 1 has no pairs and n = 2 one; n = 16 has 5-bit selectors; n = 17 is the
+# paper's largest size
+BMC_GRID = [(n, {0, 1, n * (n - 1) // 4}, range(1, 5)) for n in range(1, 7)]
+BMC_GRID += [(16, {2}, (3,)), (17, {2}, (3,))]
+
+
+def grid_id(value):
+    return str(value) if isinstance(value, int) else None
+
+
+@pytest.mark.parametrize("n, sizes, state_counts", BMC_GRID, ids=grid_id)
 def test_bmc_matches_the_transition_by_transition_reference(n, sizes, state_counts):
     # encode_bmc builds only transition 0 and appends shifted copies for the others
     rng = random.Random(n)
@@ -455,6 +458,20 @@ def test_bmc_matches_the_transition_by_transition_reference(n, sizes, state_coun
             assert formula.num_vars == layout.total_vars
             expected = reference_bmc_clauses(inst, num_states)
             assert [list(c) for c in formula.clauses] == expected, (size, num_states)
+
+
+@pytest.mark.parametrize("n, sizes, state_counts", BMC_GRID, ids=grid_id)
+def test_every_clause_lists_its_variables_in_ascending_order(n, sizes, state_counts):
+    # the builtin watches each clause's first two literals as the encoder writes them
+    rng = random.Random(n)
+    for size in sorted(size for size in sizes if size <= pair_count(n)):
+        for target_bits in (0, rng.getrandbits(pair_count(n)), (1 << pair_count(n)) - 1):
+            source = Graph(n, rng.getrandbits(pair_count(n)))
+            inst = SynthesisInstance(source, Graph(n, target_bits), random_D(n, size, n + size))
+            for num_states in state_counts:
+                for clause in encode_bmc(inst, num_states)[0].clauses:
+                    variables = [abs(lit) for lit in clause]
+                    assert all(map(int.__lt__, variables, variables[1:])), list(clause)
 
 
 # --- whole formula ------------------------------------------------------------------
@@ -490,14 +507,19 @@ def test_bmc_variable_ids_stay_in_range():
 
 
 def test_bmc_dimacs_bytes_are_pinned():
-    """The formulas' DIMACS text, byte for byte, at threshold + 1 for n = 5..8."""
+    """The formulas' DIMACS text, byte for byte, at threshold + 1 for n = 5..8.
+
+    The digest moved from 1beeaa76... when the encoder began writing each
+    clause in ascending variable order; the new one equals that of the old
+    formulas with each clause's literals sorted by variable.
+    """
     digest = hashlib.sha256()
     for n in range(5, 9):
         designated = random_D(n, 2, 1) if n % 2 else ()
         inst = SynthesisInstance(erdos_renyi(n, 0.8, 0), ghz_target(n, range(4)), designated)
         top = completeness_threshold(inst).max_transitions + 1
         digest.update(write_dimacs(encode_bmc(inst, top)[0]).encode())
-    assert digest.hexdigest() == "1beeaa76b057b7e2f7d363318c577a07eb26d7ca3bfd50b1d591cd68ef4d11a1"
+    assert digest.hexdigest() == "de99b8b95c0ad4c590d0f08f3d54670c1aa4b76dd61b478662be4a8601c77ba8"
 
 
 def test_bmc_agrees_with_oracle_shortest_lengths():

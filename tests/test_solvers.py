@@ -137,6 +137,57 @@ def test_builtin_edge_cases():
         assert sorted(result.assignment) == list(range(1, nv + 2))
 
 
+def raw_formula(rng: random.Random) -> CnfFormula:
+    """Clauses as a DIMACS file may give them: unsorted, repeats, both signs."""
+    nv = rng.randint(1, 8)
+    f = CnfFormula(nv)
+    for _ in range(rng.randint(1, 3 * nv)):
+        clause = [rng.choice((v, -v)) for v in rng.choices(range(1, nv + 1), k=rng.randint(1, 4))]
+        if rng.random() < 0.3:
+            clause.insert(rng.randrange(len(clause) + 1), rng.choice(clause))
+        if rng.random() < 0.2:
+            clause.insert(rng.randrange(len(clause) + 1), -clause[0])
+        f.add_clauses([clause])
+    return f
+
+
+def test_builtin_agrees_with_brute_force_on_clauses_it_loads_as_given():
+    solver = InProcessSolver()
+    for clauses, satisfiable in (
+        ([[1], [1]], True),  # a repeated unit
+        ([[1, 1]], True),  # (a or a) alone
+        ([[1, 1], [-1]], False),
+        ([[-1], [1, 1]], False),
+        ([[2, 1, 2], [-2, -2], [-1, 1, 3]], True),
+    ):
+        f = CnfFormula(3)
+        f.add_clauses(clauses)
+        result = solver.solve(f)
+        assert result.status is (SolveStatus.SAT if satisfiable else SolveStatus.UNSAT)
+        if satisfiable:
+            assert result.assignment[1] is True
+            assert falsified_clause(f, result.assignment) is None
+    rng = random.Random(22)
+    shapes, answers = set(), set()
+    for _ in range(400):
+        f = raw_formula(rng)
+        for clause in f.clauses:
+            variables = [abs(lit) for lit in clause]
+            shapes.add("unsorted" if variables != sorted(variables) else "sorted")
+            shapes.add("repeat" if len(set(clause)) < len(clause) else "distinct")
+            shapes.add("both signs" if len(set(variables)) < len(set(clause)) else "one sign")
+        base = QueryBase(f)  # later queries start from the clauses learned before
+        for assumptions in ((), (rng.choice((1, -1)),), ()):
+            result = solver.solve(Query(base, assumptions))
+            expected = brute_force_satisfiable(f, assumptions)
+            assert result.status is (SolveStatus.SAT if expected else SolveStatus.UNSAT)
+            answers.add(result.status)
+            if result.status is SolveStatus.SAT:
+                assert falsified_clause(f, result.assignment, assumptions) is None
+    assert {"unsorted", "repeat", "both signs"} <= shapes
+    assert answers == {SolveStatus.SAT, SolveStatus.UNSAT}
+
+
 def test_builtin_is_deterministic():
     rng = random.Random(3)
     solver = InProcessSolver()
@@ -408,12 +459,29 @@ def test_external_solver_writes_assumptions_as_unit_clauses(tmp_path):
     assert seen.read_text() == write_dimacs(f)
 
 
-def stub_solver(tmp_path, stdout: str) -> ExternalSolver:
-    """An external solver that prints `stdout` whatever it is given."""
+def stub_solver(tmp_path, stdout: str, stderr: str = "", code: int = 0) -> ExternalSolver:
+    """An external solver that prints `stdout` and `stderr`, whatever it is given."""
     script = tmp_path / "stub-solver"
-    script.write_text(f"#!/bin/sh\ncat <<'EOF'\n{stdout}EOF\n")
+    script.write_text(
+        f"#!/bin/sh\ncat <<'EOF'\n{stdout}EOF\ncat >&2 <<'EOF'\n{stderr}EOF\nexit {code}\n"
+    )
     script.chmod(0o755)
     return ExternalSolver([str(script)])
+
+
+def test_external_solver_keeps_exit_code_and_stderr_with_a_verdict(tmp_path):
+    f = CnfFormula(2)
+    f.add_clauses([[1], [-2]])
+    sat = stub_solver(tmp_path, "s SATISFIABLE\nv 1 -2 0\n", "c done\nc 3 conflicts\n", 10)
+    result = sat.solve(f)
+    assert result.status is SolveStatus.SAT and result.assignment == {1: True, 2: False}
+    assert result.detail == "exit 10: c 3 conflicts"
+    result = stub_solver(tmp_path, "s UNSATISFIABLE\n", code=20).solve(f)
+    assert result.status is SolveStatus.UNSAT and result.detail == "exit 20"
+    # a rejected model leads with the clause it falsifies
+    wrong = stub_solver(tmp_path, "s SATISFIABLE\nv 1 2 0\n", "c done\n", 10).solve(f)
+    assert wrong.status is SolveStatus.UNKNOWN and wrong.assignment is None
+    assert wrong.detail == "model falsifies clause -2 0; exit 10: c done"
 
 
 def test_external_solver_answers_unknown_for_sat_without_a_model(tmp_path):
@@ -422,13 +490,13 @@ def test_external_solver_answers_unknown_for_sat_without_a_model(tmp_path):
     f.add_clauses([[-1], [1, 2]])
     result = backend.solve(f)
     assert result.status is SolveStatus.UNKNOWN and result.assignment is None
-    assert result.detail == "model falsifies clause 1 2 0"
+    assert result.detail == "model falsifies clause 1 2 0; exit 0"
     # the driver reports it as the reason, not as an encoding fault
     triangle = Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)])
     inst = SynthesisInstance(star_graph(3, 0, (1, 2)), triangle)
     outcome = synthesize(inst, backend)
     assert outcome.verdict is Verdict.UNKNOWN and outcome.witness is None
-    assert outcome.reason == "model falsifies clause 1 0"
+    assert outcome.reason == "model falsifies clause 1 0; exit 0"
 
 
 def test_external_solver_checks_a_model_against_formula_and_assumptions(tmp_path):
@@ -437,12 +505,12 @@ def test_external_solver_checks_a_model_against_formula_and_assumptions(tmp_path
     query = Query(QueryBase(f), (3,))
     wrong = stub_solver(tmp_path, "s SATISFIABLE\nv 1 2 3 0\n").solve(query)
     assert wrong.status is SolveStatus.UNKNOWN and wrong.assignment is None
-    assert wrong.detail == "model falsifies clause -2 0"
+    assert wrong.detail == "model falsifies clause -2 0; exit 0"
     unassumed = stub_solver(tmp_path, "s SATISFIABLE\nv 1 -2 -3 0\n").solve(query)
     assert unassumed.status is SolveStatus.UNKNOWN
-    assert unassumed.detail == "model falsifies clause 3 0"
+    assert unassumed.detail == "model falsifies clause 3 0; exit 0"
     right = stub_solver(tmp_path, "s SATISFIABLE\nv 1 -2 3 0\n").solve(query)
-    assert right.status is SolveStatus.SAT and right.detail == ""
+    assert right.status is SolveStatus.SAT and right.detail == "exit 0"
     assert right.assignment == {1: True, 2: False, 3: True}
 
 
@@ -451,7 +519,7 @@ def test_external_solver_answers_unknown_for_a_malformed_model_line(tmp_path):
     f.add_clauses([[1], [-2]])
     result = stub_solver(tmp_path, "s SATISFIABLE\nv 1 -2 x 0\n").solve(f)
     assert result.status is SolveStatus.UNKNOWN and result.assignment is None
-    assert result.detail == "malformed model line 'v 1 -2 x 0'"
+    assert result.detail == "malformed model line 'v 1 -2 x 0'; exit 0"
 
 
 def test_external_solver_reads_output_that_is_not_utf8(tmp_path):
