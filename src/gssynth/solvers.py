@@ -14,6 +14,7 @@ backend ran.
 
 from __future__ import annotations
 
+import math
 import os
 import shlex
 import shutil
@@ -178,7 +179,10 @@ class InProcessSolver:
     activities with phase saving, and Luby-sequence restarts stepped by
     Knuth's reluctant doubling.  The assignment and the watch lists are plain
     lists indexed by literal (after MiniSat), so propagation reads a literal's
-    value with one lookup and compacts each watch list in place.  Each
+    value with one lookup and compacts each watch list in place.  A decision
+    takes the highest free activity through one max() over a list holding
+    each free variable's activity (-1.0 for an assigned one), which gives the
+    same variable as a scan: the first free variable of highest activity.  Each
     clause is loaded as given and first watched by its first two literals,
     so the order the encoder writes (ascending variables) fixes the search;
     a repeated literal or a tautology needs no special case.
@@ -230,18 +234,25 @@ class _Search:
         self.reason: List[Optional[List[int]]] = [None] * (self.nv + 1)
         self.saved_phase = [False] * (self.nv + 1)
         self.activity = [0.0] * (self.nv + 1)
+        # a free variable's activity, -1.0 for an assigned one: max() finds the
+        # highest free activity and index() its first variable
+        self.free_act = [-math.inf] + self.activity[1:]
         self.act_inc = 1.0
         self.trail: List[int] = []
         self.trail_lim: List[int] = []
         self.qhead = 0
         self.root_conflict = False  # the formula itself is UNSAT
-        literals = formula.literals.tolist()
-        for start, end in pairwise(formula.starts):
-            clause = literals[start : end - 1]
+        literals, starts = formula.literals.tolist(), formula.starts.tolist()
+        clauses = [literals[start : end - 1] for start, end in pairwise(starts)]
+        for clause in clauses:
             if len(clause) > 1:
                 self._attach(clause)
             elif not clause or not self._enqueue(clause[0], None):
                 self.root_conflict = True  # an empty clause, or units that clash
+        # _propagate's replacement-watch scan, by clause length; a learned
+        # clause has at most nv literals, one per variable
+        longest = max(map(len, clauses), default=0)
+        self.scan = [range(2, size) for size in range(max(longest, self.nv) + 1)]
 
     # assignment ---------------------------------------------------------
 
@@ -255,23 +266,28 @@ class _Search:
             return val > 0
         self.value[lit] = 1
         self.value[-lit] = -1
-        var = abs(lit)
+        var = lit if lit > 0 else -lit
         self.level[var] = len(self.trail_lim)
         self.reason[var] = reason
+        self.free_act[var] = -1.0
         self.trail.append(lit)
         return True
 
     def _cancel_until(self, target_level: int) -> None:
-        if len(self.trail_lim) > target_level:
-            mark = self.trail_lim[target_level]
-            del self.trail_lim[target_level:]
-            for lit in self.trail[mark:]:
-                var = abs(lit)
-                self.saved_phase[var] = lit > 0
-                self.value[lit] = self.value[-lit] = 0
-                self.reason[var] = None
-            del self.trail[mark:]
-        self.qhead = min(self.qhead, len(self.trail))
+        trail, trail_lim = self.trail, self.trail_lim
+        if len(trail_lim) > target_level:
+            mark = trail_lim[target_level]
+            del trail_lim[target_level:]
+            value, reason, saved_phase = self.value, self.reason, self.saved_phase
+            activity, free_act = self.activity, self.free_act
+            for lit in trail[mark:]:
+                var = lit if lit > 0 else -lit
+                saved_phase[var] = lit > 0
+                value[lit] = value[-lit] = 0
+                reason[var] = None
+                free_act[var] = activity[var]
+            del trail[mark:]
+        self.qhead = min(self.qhead, len(trail))
 
     # propagation --------------------------------------------------------
 
@@ -281,41 +297,48 @@ class _Search:
         Each visited watch list is compacted in place (as in MiniSat): a
         clause that keeps watching the false literal moves down to slot j.
         """
-        trail, value, watches = self.trail, self.value, self.watches
-        level, reason, current = self.level, self.reason, len(self.trail_lim)
+        trail, value, watches, scan = self.trail, self.value, self.watches, self.scan
+        level, reason, free_act = self.level, self.reason, self.free_act
+        current = len(self.trail_lim)
         qhead = self.qhead
         while qhead < len(trail):
             false_lit = -trail[qhead]
             qhead += 1
             watchers = watches[false_lit]
-            i = j = 0
-            total = len(watchers)
-            while i < total:
-                clause = watchers[i]
-                i += 1
-                if clause[0] == false_lit:
-                    clause[0], clause[1] = clause[1], false_lit
+            j = moved = 0
+            for clause in watchers:
                 first = clause[0]
-                if value[first] > 0:
+                if first == false_lit:
+                    first = clause[1]
+                    clause[0] = first
+                    clause[1] = false_lit
+                first_value = value[first]
+                if first_value > 0:
                     watchers[j] = clause
                     j += 1
                     continue
-                for k in range(2, len(clause)):
+                for k in scan[len(clause)]:
                     lit = clause[k]
                     if value[lit] >= 0:
-                        clause[1], clause[k] = lit, false_lit
+                        clause[1] = lit
+                        clause[k] = false_lit
                         watches[lit].append(clause)
+                        moved += 1
                         break
                 else:
                     watchers[j] = clause
                     j += 1
-                    if value[first] < 0:
-                        del watchers[j:i]
+                    if first_value < 0:
+                        # every clause visited so far was kept below j or moved out
+                        del watchers[j : j + moved]
                         self.qhead = qhead
                         return clause
-                    value[first], value[-first] = 1, -1
-                    var = abs(first)
-                    level[var], reason[var] = current, clause
+                    value[first] = 1
+                    value[-first] = -1
+                    var = first if first > 0 else -first
+                    level[var] = current
+                    reason[var] = clause
+                    free_act[var] = -1.0
                     trail.append(first)
             del watchers[j:]
         self.qhead = qhead
@@ -325,45 +348,54 @@ class _Search:
 
     def _analyze(self, conflict: List[int]) -> tuple[List[int], int]:
         """First-UIP learned clause and the level to backjump to."""
+        trail, reason, level, seen = self.trail, self.reason, self.level, self.seen
+        activity, inc = self.activity, self.act_inc
         current = len(self.trail_lim)
-        level, activity, inc, seen = self.level, self.activity, self.act_inc, self.seen
         learned: List[int] = [0]  # slot 0 gets the asserting literal
         counter = 0
         clause: Optional[List[int]] = conflict
-        index = len(self.trail) - 1
+        index = len(trail) - 1
         pivot = 0
         while True:
             assert clause is not None
             for lit in clause:
-                var = abs(lit)
+                var = lit if lit > 0 else -lit
                 # the pivot literal itself drops out of the resolvent
-                if lit == pivot or seen[var] or level[var] == 0:
+                if lit == pivot or seen[var]:
+                    continue
+                var_level = level[var]
+                if var_level == 0:
                     continue
                 seen[var] = True
-                activity[var] += inc
-                if activity[var] > 1e100:
+                bumped = activity[var] + inc
+                activity[var] = bumped
+                if bumped > 1e100:
                     activity[:] = [a * 1e-100 for a in activity]
+                    # free slots hold activities; -1.0 and -inf stay as they are
+                    self.free_act[:] = [a * 1e-100 if a >= 0.0 else a for a in self.free_act]
                     inc *= 1e-100
-                if level[var] == current:
+                if var_level == current:
                     counter += 1
                 else:
                     learned.append(lit)
-            while not seen[abs(self.trail[index])]:
+            pivot = trail[index]
+            while not seen[pivot if pivot > 0 else -pivot]:
                 index -= 1
-            pivot = self.trail[index]
-            var = abs(pivot)
+                pivot = trail[index]
+            var = pivot if pivot > 0 else -pivot
             seen[var] = False
             index -= 1
             counter -= 1
             if counter == 0:
                 break
-            clause = self.reason[var]
+            clause = reason[var]
         self.act_inc = inc
         learned[0] = -pivot
         # the marks left are the tail's: every current-level mark went with its pivot
         back_pos = back_level = 0
         for i in range(1, len(learned)):
-            var = abs(learned[i])
+            lit = learned[i]
+            var = lit if lit > 0 else -lit
             seen[var] = False
             if level[var] > back_level:
                 back_pos, back_level = i, level[var]
@@ -376,14 +408,10 @@ class _Search:
     # main loop ----------------------------------------------------------
 
     def _pick_branch_var(self) -> int:
-        value, activity = self.value, self.activity
-        best = 0
-        best_act = -1.0
-        for var in range(1, self.nv + 1):
-            if value[var] == 0 and activity[var] > best_act:
-                best = var
-                best_act = activity[var]
-        return best
+        """The first free variable of highest activity, or 0 when none is free."""
+        free_act = self.free_act
+        best = max(free_act)
+        return free_act.index(best) if best >= 0.0 else 0
 
     def run(
         self, deadline: Optional[float], assumptions: Tuple[Literal, ...]

@@ -6,6 +6,7 @@ import hashlib
 import itertools
 import json
 import random
+import weakref
 from types import SimpleNamespace
 
 import pytest
@@ -310,6 +311,97 @@ def test_a_fault_inside_the_search_leaves_it_at_level_0(monkeypatch, satisfiable
     assert again.status is fresh.status
     if satisfiable:
         assert falsified_clause(f, again.assignment) is None
+
+
+def scan_branch_var(search) -> int:
+    """The reference decision: the first free variable of highest activity, or 0."""
+    best, best_act = 0, -1.0
+    for var in range(1, search.nv + 1):
+        if search.value[var] == 0 and search.activity[var] > best_act:
+            best, best_act = var, search.activity[var]
+    return best
+
+
+@pytest.mark.parametrize("decay", (gssynth.solvers.ACTIVITY_DECAY, 1e-30))
+def test_every_decision_is_the_reference_scan(monkeypatch, decay):
+    # a decay of 1e-30 multiplies the bump by 1e30 each conflict, so the 1e100
+    # rescale of every activity fires within a few conflicts
+    monkeypatch.setattr(gssynth.solvers, "ACTIVITY_DECAY", decay)
+    pick = gssynth.solvers._Search._pick_branch_var
+    decisions, rescales = [], []
+    highest = weakref.WeakKeyDictionary()  # a search's highest activity: falls only at a rescale
+
+    def checked(search):
+        var = pick(search)
+        assert var == scan_branch_var(search)
+        decisions.append(var)
+        top = max(search.activity)
+        if top < highest.get(search, 0.0):
+            rescales.append(top)
+        highest[search] = top
+        return var
+
+    monkeypatch.setattr(gssynth.solvers._Search, "_pick_branch_var", checked)
+    solver = InProcessSolver()
+    for f, satisfiable in ((pigeonhole(6, 5), False), (planted_3sat(), True)):
+        result = solver.solve(f)
+        assert result.status is (SolveStatus.SAT if satisfiable else SolveStatus.UNSAT)
+        if satisfiable:
+            assert falsified_clause(f, result.assignment) is None
+    rng = random.Random(23)
+    for f in [pigeonhole(4, 3), pigeonhole(3, 3)] + [raw_formula(rng) for _ in range(100)]:
+        result = solver.solve(f)
+        assert result.status is (SolveStatus.SAT if brute_force_satisfiable(f) else SolveStatus.UNSAT)
+        if result.status is SolveStatus.SAT:
+            assert falsified_clause(f, result.assignment) is None
+    # a sweep-free instance the builtin proves unreachable at the threshold
+    inst = SynthesisInstance(erdos_renyi(4, 0.3, 2), ghz_target(4, range(4)))
+    outcome = synthesize(inst, solver, Limits())
+    assert outcome.verdict is Verdict.UNREACHABLE
+    assert [probe.status for probe in outcome.probes] == [SolveStatus.UNSAT]
+    assert len(decisions) > 500 and 0 in decisions  # SAT answers end on a 0
+    assert bool(rescales) == (decay < 1e-3)
+
+
+def test_the_scan_table_covers_every_clause_length(monkeypatch):
+    # a given clause longer than nv + 1, its repeats scanned past as false
+    for clauses, assumptions in (
+        ([[1, 1, -2, 1, -2, 1]], [(), (-1,), (2,), (-1, 2)]),
+        ([[1, 1, -2, 1, -2, 1], [-1]], [(), (2,)]),
+        ([[-2, 1, 1, 1, 1, -2], [2]], [(), (-1,)]),
+    ):
+        f = CnfFormula(2)
+        f.add_clauses(clauses)
+        base = QueryBase(f)
+        for query in assumptions:
+            result = InProcessSolver().solve(Query(base, query))
+            expected = brute_force_satisfiable(f, query)
+            assert result.status is (SolveStatus.SAT if expected else SolveStatus.UNSAT)
+            if expected:
+                assert falsified_clause(f, result.assignment, query) is None
+    # a learned clause longer than every given one: deciding -1..-4, then -5,
+    # propagates -6, -7, -8 and 8, and the conflict learns (5 1 2 3 4); the next
+    # query's assumption -5 makes the search scan that clause for a new watch.
+    # (A learned clause of all nv variables needs a given clause of as many:
+    # the conflict level holds two of a conflict's variables otherwise.)
+    attached = []
+    attach = gssynth.solvers._Search._attach
+
+    def recording(search, clause):
+        attached.append(list(clause))
+        attach(search, clause)
+
+    monkeypatch.setattr(gssynth.solvers._Search, "_attach", recording)
+    f = CnfFormula(8)
+    f.add_clauses([[1, 5, -6], [2, 6, -7], [3, 7, -8], [4, 5, 8]])
+    base = QueryBase(f)
+    for query in ((), (-5,), (-5, -4, -3), (-5, -1, -2, -3, -4)):
+        result = InProcessSolver().solve(Query(base, query))
+        expected = brute_force_satisfiable(f, query)
+        assert result.status is (SolveStatus.SAT if expected else SolveStatus.UNSAT)
+        if expected:
+            assert falsified_clause(f, result.assignment, query) is None
+    assert attached[4] == [5, 4, 2, 3, 1]  # the first clause learned
 
 
 @pytest.mark.parametrize("satisfiable", (False, True))
