@@ -313,6 +313,14 @@ def test_a_fault_inside_the_search_leaves_it_at_level_0(monkeypatch, satisfiable
         assert falsified_clause(f, again.assignment) is None
 
 
+def assert_brute_force_answer(result, formula: CnfFormula, assumptions=()) -> None:
+    """The answer brute force gives, with a model that satisfies the query."""
+    expected = brute_force_satisfiable(formula, assumptions)
+    assert result.status is (SolveStatus.SAT if expected else SolveStatus.UNSAT)
+    if expected:
+        assert falsified_clause(formula, result.assignment, assumptions) is None
+
+
 def scan_branch_var(search) -> int:
     """The reference decision: the first free variable of highest activity, or 0."""
     best, best_act = 0, -1.0
@@ -350,10 +358,7 @@ def test_every_decision_is_the_reference_scan(monkeypatch, decay):
             assert falsified_clause(f, result.assignment) is None
     rng = random.Random(23)
     for f in [pigeonhole(4, 3), pigeonhole(3, 3)] + [raw_formula(rng) for _ in range(100)]:
-        result = solver.solve(f)
-        assert result.status is (SolveStatus.SAT if brute_force_satisfiable(f) else SolveStatus.UNSAT)
-        if result.status is SolveStatus.SAT:
-            assert falsified_clause(f, result.assignment) is None
+        assert_brute_force_answer(solver.solve(f), f)
     # a sweep-free instance the builtin proves unreachable at the threshold
     inst = SynthesisInstance(erdos_renyi(4, 0.3, 2), ghz_target(4, range(4)))
     outcome = synthesize(inst, solver, Limits())
@@ -374,11 +379,7 @@ def test_the_scan_table_covers_every_clause_length(monkeypatch):
         f.add_clauses(clauses)
         base = QueryBase(f)
         for query in assumptions:
-            result = InProcessSolver().solve(Query(base, query))
-            expected = brute_force_satisfiable(f, query)
-            assert result.status is (SolveStatus.SAT if expected else SolveStatus.UNSAT)
-            if expected:
-                assert falsified_clause(f, result.assignment, query) is None
+            assert_brute_force_answer(InProcessSolver().solve(Query(base, query)), f, query)
     # a learned clause longer than every given one: deciding -1..-4, then -5,
     # propagates -6, -7, -8 and 8, and the conflict learns (5 1 2 3 4); the next
     # query's assumption -5 makes the search scan that clause for a new watch.
@@ -396,11 +397,7 @@ def test_the_scan_table_covers_every_clause_length(monkeypatch):
     f.add_clauses([[1, 5, -6], [2, 6, -7], [3, 7, -8], [4, 5, 8]])
     base = QueryBase(f)
     for query in ((), (-5,), (-5, -4, -3), (-5, -1, -2, -3, -4)):
-        result = InProcessSolver().solve(Query(base, query))
-        expected = brute_force_satisfiable(f, query)
-        assert result.status is (SolveStatus.SAT if expected else SolveStatus.UNSAT)
-        if expected:
-            assert falsified_clause(f, result.assignment, query) is None
+        assert_brute_force_answer(InProcessSolver().solve(Query(base, query)), f, query)
     assert attached[4] == [5, 4, 2, 3, 1]  # the first clause learned
 
 
